@@ -11,18 +11,18 @@ measurement time on the attacked instance.
 import math
 from dataclasses import dataclass, field, replace
 from numbers import Real
-from typing import Iterable, NamedTuple, Optional, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .exceptional import ExceptionalConfiguration
 from .graphs import Graph
 from .szegedy import (
-    PairSpace,
+    SearchStart,
     StochasticMatrix,
     WalkOperator,
-    initial_state,
-    success_probability,
+    search_start,
     uniform_stochastic,
 )
 
@@ -81,18 +81,25 @@ def efficiency(p_base: float, p_attacked: float) -> float:
     return 1.0 - p_attacked / p_base
 
 
+def _probabilities(start: SearchStart, marked: Iterable[int]) -> Iterator[float]:
+    """p(0), p(1), ... of the search walk for the marked set, stepping lazily."""
+    return WalkOperator(start.chain, marked, space=start.space).probabilities(start.state)
+
+
+def _probability_at(start: SearchStart, marked: Iterable[int], t: int) -> float:
+    return next(islice(_probabilities(start, marked), t, None))
+
+
 def probability_at(
     graph: Graph, marked: Iterable[int], t: int, chain: Optional[StochasticMatrix] = None
 ) -> float:
     """Success probability after exactly t steps of the search walk."""
-    if chain is None:
-        chain = uniform_stochastic(graph)
-    space = PairSpace.from_graph(graph)
-    operator = WalkOperator(chain, marked, space=space)
-    state = initial_state(chain, space=space)
-    for _ in range(t):
-        state = operator.apply(state)
-    return success_probability(state, marked)
+    if t < 0:
+        raise ValueError(f"measurement time must be nonnegative, got {t}")
+    marked = frozenset(int(v) for v in marked)
+    if not marked:
+        raise ValueError("marked set must be nonempty")
+    return _probability_at(search_start(graph, chain), marked, t)
 
 
 def instance_probability(inst: SearchInstance) -> float:
@@ -136,12 +143,12 @@ def optimize_measurement_time(
     """
     if t_pen < 0:
         raise ValueError(f"t_pen must be nonnegative, got {t_pen}")
-    if chain is None:
-        chain = uniform_stochastic(graph)
-    space = PairSpace.from_graph(graph)
-    operator = WalkOperator(chain, marked, space=space)
-    state = initial_state(chain, space=space)
-    p = success_probability(state, marked)
+    return _optimize(search_start(graph, chain), marked, t_pen)
+
+
+def _optimize(start: SearchStart, marked: Iterable[int], t_pen: int) -> OptimizeResult:
+    probs = _probabilities(start, marked)
+    p = next(probs)
     if p <= 0.0:
         raise ValueError("initial success probability is zero; marked set must be nonempty")
     best = OptimizeResult(0, expected_runtime(0, p, t_pen), p)
@@ -152,8 +159,7 @@ def optimize_measurement_time(
             return best
         if t > _MAX_OPT_STEPS:
             raise RuntimeError("measurement-time scan exceeded the step budget")
-        state = operator.apply(state)
-        p = success_probability(state, marked)
+        p = next(probs)
         if p > 0.0:
             T = (t + t_pen) / p
             if T < best.T_opt:
@@ -262,14 +268,16 @@ def evaluate_attack(
 
     The base measurement time is the clean instance's optimal time under the
     same penalty; the attacked instance is measured at that same time, and
-    the defender's re-optimized time and runtime complete the report.
+    the defender's re-optimized time and runtime complete the report. The
+    three walks share one chain, pair space and start state.
     """
     marked = frozenset(int(v) for v in marked)
-    base_opt = optimize_measurement_time(graph, marked, chain, t_pen)
+    start = search_start(graph, chain)
+    base_opt = _optimize(start, marked, t_pen)
     base = SearchInstance(graph, marked, base_opt.t_opt, chain)
     attacked = apply_attack(base, ec)
-    p_att = instance_probability(attacked)
-    att_opt = optimize_measurement_time(graph, attacked.marked, chain, t_pen)
+    p_att = _probability_at(start, attacked.marked, base_opt.t_opt)
+    att_opt = _optimize(start, attacked.marked, t_pen)
     return AttackReport(
         model=model,
         n=graph.n,

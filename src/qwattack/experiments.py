@@ -7,6 +7,8 @@ of the worker count, and any CSV row can be re-derived from its recorded
 seed alone.
 """
 
+import csv
+import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -16,10 +18,12 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .attack import CSV_COLUMNS, AttackReport, default_t_pen, evaluate_attack, report_row
-from .exceptional import find_2ec, find_ec_within_distance, wilson_interval
+from .exceptional import ECKind, find_2ec, find_ec_within_distance, wilson_interval
 from .graphs import MODELS, ModelParams, derive_seed, generate_graph, is_connected
 
 WORKERS_ENV = "QWATTACK_WORKERS"
+
+logger = logging.getLogger(__name__)
 
 _MODEL_INDEX = {"er": 0, "ws": 1, "ba": 2}
 _MAX_ATTEMPTS = 1000
@@ -118,10 +122,20 @@ class Fig1Row:
 
 
 def _run_pool(worker, tasks, workers: int):
-    """Map tasks preserving order, inline or over a process pool."""
-    if workers <= 1 or len(tasks) <= 1:
+    """Map tasks preserving order, inline or over a process pool.
+
+    The pool starts every worker at once, so the request is clamped to
+    min(workers, tasks, CPUs), with a warning when that lowers it.
+    """
+    limit = max(1, min(workers, len(tasks), os.cpu_count() or 1))
+    if limit < workers:
+        logger.warning(
+            "using %d of %d requested workers (%d tasks, %s CPUs)",
+            limit, workers, len(tasks), os.cpu_count(),
+        )
+    if limit == 1:
         return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=limit) as pool:
         return list(pool.map(worker, tasks, chunksize=1))
 
 
@@ -345,35 +359,62 @@ def write_fig3_csv(labeled: Sequence[tuple[str, str, RegressionResult]], path) -
             )
 
 
-def read_fig2_csv(path) -> list[AttackReport]:
-    """Parse a fig2 CSV back into reports (resample columns optional)."""
-    import csv
+class Fig2CsvParseError(ValueError):
+    """Raised when a fig2 CSV violates the column, field or kind contract."""
 
+
+_FIG2_OPTIONAL = ("graph_regens", "anchor_retries")
+_FIG2_KINDS = frozenset(kind.value for kind in ECKind)
+
+
+def read_fig2_csv(path) -> list[AttackReport]:
+    """Parse a fig2 CSV back into reports (resample columns optional).
+
+    Raises Fig2CsvParseError with the line number for a missing or unknown
+    column, a row with the wrong field count, an unknown kind, and a value
+    that does not parse or fails the report's own consistency checks.
+    """
     reports = []
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", newline="") as fh:
         reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        unknown = [c for c in header if c not in CSV_COLUMNS]
+        if unknown:
+            raise Fig2CsvParseError(f"line 1: unknown columns {unknown}")
+        missing = [c for c in CSV_COLUMNS if c not in header and c not in _FIG2_OPTIONAL]
+        if missing:
+            raise Fig2CsvParseError(f"line 1: missing columns {missing}")
         for row in reader:
-            added = tuple(int(v) for v in row["added_vertices"].split(";") if v)
-            reports.append(
-                AttackReport(
-                    model=row["model"],
-                    n=int(row["n"]),
-                    seed=int(row["seed"]),
-                    anchor=int(row["anchor"]),
-                    added=added,
-                    kind=row["kind"],
-                    t_base=int(row["t_base"]),
-                    p_base=float(row["p_base"]),
-                    T_base=float(row["T_base"]),
-                    p_attacked=float(row["p_attacked"]),
-                    T_attacked=float(row["T_attacked"]),
-                    eff=float(row["eff"]),
-                    t_opt=int(row["t_opt"]),
-                    T_opt=float(row["T_opt"]),
-                    strong_eff=float(row["strong_eff"]),
-                    t_pen=int(row["t_pen"]),
-                    graph_regens=int(row.get("graph_regens", 0) or 0),
-                    anchor_retries=int(row.get("anchor_retries", 0) or 0),
-                )
-            )
+            line = reader.line_num
+            if None in row or None in row.values():
+                raise Fig2CsvParseError(f"line {line}: expected {len(header)} fields")
+            if row["kind"] not in _FIG2_KINDS:
+                raise Fig2CsvParseError(f"line {line}: unknown kind {row['kind']!r}")
+            try:
+                reports.append(_fig2_report(row))
+            except ValueError as exc:
+                raise Fig2CsvParseError(f"line {line}: {exc}") from None
     return reports
+
+
+def _fig2_report(row: dict) -> AttackReport:
+    return AttackReport(
+        model=row["model"],
+        n=int(row["n"]),
+        seed=int(row["seed"]),
+        anchor=int(row["anchor"]),
+        added=tuple(int(v) for v in row["added_vertices"].split(";") if v),
+        kind=row["kind"],
+        t_base=int(row["t_base"]),
+        p_base=float(row["p_base"]),
+        T_base=float(row["T_base"]),
+        p_attacked=float(row["p_attacked"]),
+        T_attacked=float(row["T_attacked"]),
+        eff=float(row["eff"]),
+        t_opt=int(row["t_opt"]),
+        T_opt=float(row["T_opt"]),
+        strong_eff=float(row["strong_eff"]),
+        t_pen=int(row["t_pen"]),
+        graph_regens=int(row.get("graph_regens", 0) or 0),
+        anchor_retries=int(row.get("anchor_retries", 0) or 0),
+    )

@@ -274,6 +274,21 @@ class TestEvaluateAttack:
         )
 
 
+class TestProbabilityAt:
+    def test_matches_trace(self):
+        g = connected_sample("ba", 50)
+        trace = probability_trace(g, [3, 7], 12)
+        assert [probability_at(g, [3, 7], t) for t in (0, 5, 12)] == [trace[0], trace[5], trace[12]]
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            probability_at(cycle(4), [0], -3)
+
+    def test_empty_marked_set_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            probability_at(cycle(4), [], 2)
+
+
 class TestReportValidation:
     def _base_kwargs(self):
         return dict(

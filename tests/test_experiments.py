@@ -1,10 +1,13 @@
+import logging
 import math
 
 import pytest
 
+from qwattack import experiments
 from qwattack.attack import AttackReport
 from qwattack.experiments import (
     ExperimentConfig,
+    Fig2CsvParseError,
     expand_grid,
     fit_loglog,
     read_fig2_csv,
@@ -196,6 +199,111 @@ class TestFig2:
         write_fig2_csv(run_fig2(self.small_config(workers=1)), a)
         write_fig2_csv(run_fig2(self.small_config(workers=3)), b)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestReadFig2Csv:
+    HEADER = (
+        "model,n,seed,anchor,added_vertices,kind,t_base,p_base,T_base,p_attacked,"
+        "T_attacked,eff,t_opt,T_opt,strong_eff,t_pen,graph_regens,anchor_retries"
+    )
+    ROW = "er,100,1,0,1,2ec_path,10,0.5,30.0,0.1,150.0,0.8,12,60.0,0.5,5,0,0"
+
+    def read(self, tmp_path, *lines):
+        path = tmp_path / "fig2.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        return read_fig2_csv(path)
+
+    def test_valid_rows_parse(self, tmp_path):
+        (report,) = self.read(tmp_path, self.HEADER, self.ROW)
+        assert (report.model, report.n, report.added, report.t_opt) == ("er", 100, (1,), 12)
+
+    def test_resample_columns_are_optional(self, tmp_path):
+        header = self.HEADER.rsplit(",", 2)[0]
+        row = self.ROW.rsplit(",", 2)[0]
+        (report,) = self.read(tmp_path, header, row)
+        assert (report.graph_regens, report.anchor_retries) == (0, 0)
+
+    def test_missing_column_rejected(self, tmp_path):
+        header = self.HEADER.replace(",eff,", ",")
+        row = self.ROW.replace(",0.8,", ",")
+        with pytest.raises(Fig2CsvParseError, match=r"line 1: missing columns \['eff'\]"):
+            self.read(tmp_path, header, row)
+
+    def test_unknown_column_rejected(self, tmp_path):
+        with pytest.raises(Fig2CsvParseError, match=r"line 1: unknown columns \['extra'\]"):
+            self.read(tmp_path, self.HEADER + ",extra", self.ROW + ",1")
+
+    def test_empty_file_rejected(self, tmp_path):
+        with pytest.raises(Fig2CsvParseError, match="line 1: missing columns"):
+            self.read(tmp_path)
+
+    def test_unknown_kind_rejected_with_line(self, tmp_path):
+        bad = self.ROW.replace("2ec_path", "4ec_star")
+        with pytest.raises(Fig2CsvParseError, match="line 3: unknown kind '4ec_star'"):
+            self.read(tmp_path, self.HEADER, self.ROW, bad)
+
+    @pytest.mark.parametrize("bad", ["er,100,1", ROW + ",7"])
+    def test_wrong_field_count_rejected_with_line(self, tmp_path, bad):
+        with pytest.raises(Fig2CsvParseError, match="line 2: expected 18 fields"):
+            self.read(tmp_path, self.HEADER, bad)
+
+    def test_unparsable_value_rejected_with_line(self, tmp_path):
+        bad = self.ROW.replace(",10,", ",ten,")
+        with pytest.raises(Fig2CsvParseError, match="line 2: invalid literal"):
+            self.read(tmp_path, self.HEADER, bad)
+
+
+class FakePool:
+    """ProcessPoolExecutor stand-in that records its size and maps inline."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        FakePool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+class TestWorkerClamp:
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        FakePool.sizes = []
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+        return FakePool
+
+    @pytest.mark.parametrize(
+        "workers,tasks,expected",
+        [(64, 10, 4), (8, 3, 3), (3, 10, 3), (100_000, 2, 2)],
+    )
+    def test_pool_size_is_min_of_request_tasks_and_cpus(
+        self, pool, caplog, workers, tasks, expected
+    ):
+        with caplog.at_level(logging.WARNING, logger="qwattack.experiments"):
+            out = experiments._run_pool(abs, list(range(-tasks, 0)), workers)
+        assert out == list(range(tasks, 0, -1))
+        assert pool.sizes == [expected]
+        clamped = [r for r in caplog.records if "requested workers" in r.getMessage()]
+        assert len(clamped) == (1 if expected < workers else 0)
+
+    @pytest.mark.parametrize("workers,tasks", [(1, 10), (16, 1), (16, 0)])
+    def test_one_worker_runs_inline(self, pool, workers, tasks):
+        assert experiments._run_pool(abs, [-1] * tasks, workers) == [1] * tasks
+        assert pool.sizes == []
+
+    def test_single_cpu_runs_inline_with_warning(self, pool, monkeypatch, caplog):
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+        with caplog.at_level(logging.WARNING, logger="qwattack.experiments"):
+            assert experiments._run_pool(abs, [-1, -2], 8) == [1, 2]
+        assert pool.sizes == []
+        assert "using 1 of 8 requested workers" in caplog.text
 
 
 class TestFig3:

@@ -18,7 +18,9 @@ from _oracles import (
     plus_one_eigenspace,
     star,
 )
+from qwattack.exceptional import find_2ec
 from qwattack.graphs import Graph, ModelParams, generate_graph, gen_watts_strogatz
+from qwattack.graphs import derive_seed, is_connected
 from qwattack.szegedy import (
     NumericalStabilityError,
     PairSpace,
@@ -386,3 +388,30 @@ class TestStationaryWitness:
         amps /= np.linalg.norm(amps)
         out = op.apply(WalkState(space, amps.copy()))
         assert np.max(np.abs(out.amps - amps)) < 1e-12
+
+
+class TestScaledStationaryWitness:
+    """The degree-sum stationary state of a marked 2EC, checked on the sparse engine.
+
+    For an adjacent pair {u, v} of equal degree d, the vector that is 1 on
+    every arc, -(d - 1) on the arcs (u, v) and (v, u), and 0 on self-pairs
+    is a +1 eigenvector of the search step with S = {u, v} (Prusis, Vihrovs
+    and Wong, PRA 94, 032334, 2016).
+    """
+
+    @pytest.mark.parametrize("model", ["er", "ws", "ba"])
+    @pytest.mark.parametrize("n", [800, 2400])
+    def test_search_step_fixes_witness(self, model, n):
+        for attempt in range(50):
+            g = generate_graph(ModelParams(model=model), n, seed=derive_seed(7, n, attempt))
+            if is_connected(g):
+                break
+        u, v = next(ecs[0].vertices for w in range(n) if (ecs := find_2ec(g, w)))
+        d = g.degree(u)
+        chain = uniform_stochastic(g)
+        space = PairSpace.from_graph(g)
+        amps = np.where(space.first == space.second, 0.0, 1.0)
+        amps[space.index_of([u, v], [v, u])] = -(d - 1.0)
+        amps /= np.linalg.norm(amps)
+        out = WalkOperator(chain, [u, v], space=space).apply(WalkState(space, amps.copy()))
+        assert np.max(np.abs(out.amps - amps)) <= 1e-12
