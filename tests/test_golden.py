@@ -1,4 +1,4 @@
-"""Byte-for-byte golden outputs: small fig1/fig2 CSVs and walk-trace digests.
+"""Byte-for-byte golden outputs: small fig1/fig2 CSVs, walk-trace and edge-list digests.
 
 The goldens under tests/golden/ pin what the engine computes, bit for bit.
 A refactor or speed-up that keeps the arithmetic must leave them unchanged.
@@ -11,6 +11,7 @@ change, with the reason recorded in CHANGES.md:
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 from qwattack.exceptional import find_2ec
@@ -21,7 +22,13 @@ from qwattack.experiments import (
     write_fig1_csv,
     write_fig2_csv,
 )
-from qwattack.graphs import ModelParams, derive_seed, generate_graph, is_connected
+from qwattack.graphs import (
+    ModelParams,
+    derive_seed,
+    generate_graph,
+    is_connected,
+    write_edge_list,
+)
 from qwattack.szegedy import probability_trace
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -33,6 +40,8 @@ FIG1_CONFIG = ExperimentConfig(
 )
 TRACE_SIZES = (100, 400)
 TRACE_STEPS = 300
+EDGE_LIST_SIZES = (5, 60, 200, 1000)
+EDGE_LIST_SEEDS = (0, 1, 2)
 
 
 def trace_cases():
@@ -65,12 +74,40 @@ def trace_digests() -> list[dict]:
     ]
 
 
+def edge_list_cases():
+    """(label, params, n, seed): every model at its default rules, plus WS beta = 1
+    and ER p in {0, 1}. Small BA orders make the weighted sampling redraw."""
+    for model in ("er", "ws", "ba"):
+        for n in EDGE_LIST_SIZES:
+            for seed in EDGE_LIST_SEEDS:
+                yield model, ModelParams(model=model), n, seed
+    for n in EDGE_LIST_SIZES:
+        yield "ws_beta1", ModelParams(model="ws", ws_beta=1.0), n, 0
+    for p in (0.0, 1.0):
+        for n in EDGE_LIST_SIZES[:3]:
+            yield f"er_p{p:g}", ModelParams(model="er", er_p=p), n, 0
+
+
+def edge_list_digests() -> list[dict]:
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.txt"
+        for label, params, n, seed in edge_list_cases():
+            write_edge_list(generate_graph(params, n, seed=seed), path)
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            out.append({"case": label, "n": n, "seed": seed, "sha256": digest})
+    return out
+
+
 def write_goldens(directory: Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     write_fig2_csv(run_fig2(FIG2_CONFIG), directory / "fig2.csv")
     write_fig1_csv(run_fig1(FIG1_CONFIG), directory / "fig1.csv")
     with open(directory / "traces.json", "w", encoding="ascii", newline="\n") as fh:
         json.dump(trace_digests(), fh, indent=1)
+        fh.write("\n")
+    with open(directory / "edge_lists.json", "w", encoding="ascii", newline="\n") as fh:
+        json.dump(edge_list_digests(), fh, indent=1)
         fh.write("\n")
 
 
@@ -91,6 +128,13 @@ def test_trace_digests_match_golden():
         golden = json.load(fh)
     assert len(golden) == 2 * 3 * len(TRACE_SIZES)
     assert trace_digests() == golden
+
+
+def test_edge_list_digests_match_golden():
+    with open(GOLDEN_DIR / "edge_lists.json", encoding="ascii") as fh:
+        golden = json.load(fh)
+    assert len(golden) == 3 * len(EDGE_LIST_SIZES) * len(EDGE_LIST_SEEDS) + len(EDGE_LIST_SIZES) + 6
+    assert edge_list_digests() == golden
 
 
 if __name__ == "__main__":
