@@ -12,7 +12,7 @@ import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -139,33 +139,47 @@ def _run_pool(worker, tasks, workers: int):
         return list(pool.map(worker, tasks, chunksize=1))
 
 
+def _connected_draws(model: str, n: int, sample_idx: int, root_seed: int, params: ModelParams):
+    """The sample's connected draws in attempt order, as (attempt, attempt_seed, graph).
+
+    Every attempt before the one yielded was a regeneration. Raises once
+    _MAX_ATTEMPTS attempts are spent.
+    """
+    for attempt in range(_MAX_ATTEMPTS):
+        attempt_seed = derive_seed(root_seed, _MODEL_INDEX[model], n, sample_idx, attempt)
+        graph = generate_graph(params, n, seed=derive_seed(attempt_seed, 0))
+        if is_connected(graph):
+            yield attempt, attempt_seed, graph
+    raise RuntimeError(f"no usable {model} graph of order {n} after {_MAX_ATTEMPTS} attempts")
+
+
+def _pick_2ec(graph, attempt_seed: int):
+    """(2EC, failed anchor draws): up to n uniform anchors, then a uniform 2EC at
+    the first anchor that has one; (None, n) when none does."""
+    n = graph.n
+    rng = np.random.default_rng(derive_seed(attempt_seed, 1))
+    for retries in range(n):
+        candidates = find_2ec(graph, int(rng.integers(n)))
+        if candidates:
+            return candidates[int(rng.integers(len(candidates)))], retries
+    return None, n
+
+
 def _fig1_cell(task) -> list[Fig1Row]:
     """All requested panels for one (model, n), sharing the sampled draws."""
     model, n, samples, root_seed, panels, params = task
     hits = {panel: 0 for panel in panels}
     regens = 0
     for i in range(samples):
-        for attempt in range(_MAX_ATTEMPTS):
-            attempt_seed = derive_seed(root_seed, _MODEL_INDEX[model], n, i, attempt)
-            graph = generate_graph(params, n, seed=derive_seed(attempt_seed, 0))
-            if is_connected(graph):
-                break
-            regens += 1
-        else:
-            raise RuntimeError(f"no connected {model} graph of order {n}")
-        rng = np.random.default_rng(derive_seed(attempt_seed, 1))
-        v = int(rng.integers(n))
+        attempt, attempt_seed, graph = next(_connected_draws(model, n, i, root_seed, params))
+        regens += attempt
+        v = int(np.random.default_rng(derive_seed(attempt_seed, 1)).integers(n))
         for panel in panels:
             orders, d = _PANEL_SPEC[panel]
             if find_ec_within_distance(graph, v, d, orders):
                 hits[panel] += 1
-    rows = []
-    for panel in panels:
-        lo, hi = wilson_interval(hits[panel], samples)
-        rows.append(
-            Fig1Row(model, n, panel, hits[panel] / samples, lo, hi, samples, root_seed, regens)
-        )
-    return rows
+    return [Fig1Row(model, n, panel, hits[panel] / samples, *wilson_interval(hits[panel], samples),
+                    samples, root_seed, regens) for panel in panels]
 
 
 def run_fig1(config: ExperimentConfig) -> list[Fig1Row]:
@@ -182,37 +196,13 @@ def run_fig1(config: ExperimentConfig) -> list[Fig1Row]:
 def _fig2_sample(task) -> AttackReport:
     """One attacked instance: sample a connected graph and a 2EC anchor, evaluate."""
     model, n, sample_idx, root_seed, t_pen, params = task
-    graph_regens = 0
     anchor_retries = 0
-    for attempt in range(_MAX_ATTEMPTS):
-        attempt_seed = derive_seed(root_seed, _MODEL_INDEX[model], n, sample_idx, attempt)
-        graph = generate_graph(params, n, seed=derive_seed(attempt_seed, 0))
-        if not is_connected(graph):
-            graph_regens += 1
-            continue
-        rng = np.random.default_rng(derive_seed(attempt_seed, 1))
-        ec = None
-        for _ in range(n):
-            v = int(rng.integers(n))
-            candidates = find_2ec(graph, v)
-            if candidates:
-                ec = candidates[int(rng.integers(len(candidates)))]
-                break
-            anchor_retries += 1
-        if ec is None:
-            graph_regens += 1
-            continue
-        return evaluate_attack(
-            graph,
-            {ec.anchor},
-            ec,
-            t_pen,
-            model=model,
-            seed=attempt_seed,
-            graph_regens=graph_regens,
-            anchor_retries=anchor_retries,
-        )
-    raise RuntimeError(f"no attackable {model} instance of order {n} after {_MAX_ATTEMPTS} attempts")
+    for attempt, attempt_seed, graph in _connected_draws(model, n, sample_idx, root_seed, params):
+        ec, retries = _pick_2ec(graph, attempt_seed)
+        anchor_retries += retries
+        if ec is not None:
+            return evaluate_attack(graph, {ec.anchor}, ec, t_pen, model=model, seed=attempt_seed,
+                                   graph_regens=attempt, anchor_retries=anchor_retries)
 
 
 def rederive_fig2_sample(model: str, n: int, attempt_seed: int, t_pen: int,
@@ -223,14 +213,7 @@ def rederive_fig2_sample(model: str, n: int, attempt_seed: int, t_pen: int,
     graph = generate_graph(params, n, seed=derive_seed(attempt_seed, 0))
     if not is_connected(graph):
         raise ValueError("recorded seed does not yield a connected graph")
-    rng = np.random.default_rng(derive_seed(attempt_seed, 1))
-    ec = None
-    for _ in range(n):
-        v = int(rng.integers(n))
-        candidates = find_2ec(graph, v)
-        if candidates:
-            ec = candidates[int(rng.integers(len(candidates)))]
-            break
+    ec, _ = _pick_2ec(graph, attempt_seed)
     if ec is None:
         raise ValueError("recorded seed does not yield a 2EC anchor")
     return evaluate_attack(graph, {ec.anchor}, ec, t_pen, model=model, seed=attempt_seed)
@@ -326,17 +309,8 @@ def _fmt(value) -> str:
 def write_fig1_csv(rows: Sequence[Fig1Row], path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(FIG1_COLUMNS) + "\n")
-        for r in rows:
-            fh.write(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        r.model, r.n, r.panel, r.probability, r.ci_low, r.ci_high,
-                        r.samples, r.seed, r.regens,
-                    )
-                )
-                + "\n"
-            )
+        for r in rows:  # the fields are in column order
+            fh.write(",".join(_fmt(v) for v in astuple(r)) + "\n")
 
 
 def write_fig2_csv(reports: Sequence[AttackReport], path) -> None:
@@ -350,13 +324,7 @@ def write_fig3_csv(labeled: Sequence[tuple[str, str, RegressionResult]], path) -
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(FIG3_COLUMNS) + "\n")
         for model, variant, res in labeled:
-            fh.write(
-                ",".join(
-                    _fmt(v)
-                    for v in (model, variant, res.alpha, res.intercept, res.rse, res.points)
-                )
-                + "\n"
-            )
+            fh.write(",".join(_fmt(v) for v in (model, variant, *astuple(res))) + "\n")
 
 
 class Fig2CsvParseError(ValueError):

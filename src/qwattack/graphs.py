@@ -19,41 +19,66 @@ class EdgeListParseError(ValueError):
     """Raised when an edge-list file violates the format contract."""
 
 
-class Graph:
-    """Immutable simple undirected graph.
+def _edge_pairs(edges) -> np.ndarray:
+    """Edges as an (m, 2) array: int64, or Python ints if one does not fit (it is out of range)."""
+    edges = edges if isinstance(edges, np.ndarray) else list(edges)
+    try:
+        pairs = np.array(edges, dtype=np.int64)
+    except OverflowError:
+        pairs = np.array(edges, dtype=object)
+    if pairs.size == 0:
+        return pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"edges must be (u, v) pairs, got an array of shape {pairs.shape}")
+    return pairs
 
-    Adjacency is stored per vertex as a sorted numpy array of neighbor ids.
-    Construction validates simplicity (no self-loops, no duplicate edges)
-    and that every endpoint lies in [0, n).
+
+def _first_bad_edge(n: int, pairs: np.ndarray) -> Optional[tuple[int, str]]:
+    """(position, message) of the first edge, in input order, that is out of range,
+    a self-loop, or a repeat of an earlier edge in either orientation."""
+    u, v = pairs.T
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    keys = lo * n + hi  # an out-of-range key may collide, but that edge is reported first
+    order = np.argsort(keys, kind="stable")
+    bad = (lo < 0) | (hi >= n) | (u == v)
+    bad[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True  # every later copy
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    a, b = int(u[i]), int(v[i])
+    if not (0 <= a < n and 0 <= b < n):
+        return i, f"edge ({a}, {b}) out of range for n={n}"
+    return i, f"self-loop at vertex {a}" if a == b else f"duplicate edge ({a}, {b})"
+
+
+class Graph:
+    """Immutable simple undirected graph in CSR form.
+
+    Vertex v's neighbors are indices[indptr[v]:indptr[v + 1]], ascending;
+    indptr, indices and degrees are read-only int64 arrays. Construction
+    validates simplicity (no self-loops, no duplicate edges in either
+    orientation) and that every endpoint lies in [0, n), reporting the
+    first bad edge in input order.
     """
 
-    __slots__ = ("_n", "_adj", "_degrees", "_num_edges")
+    __slots__ = ("_n", "indptr", "indices", "_degrees", "_starts")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
             raise ValueError(f"vertex count must be positive, got {n}")
-        neighbor_sets: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if v in neighbor_sets[u]:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            neighbor_sets[u].add(v)
-            neighbor_sets[v].add(u)
-        adj = []
-        for s in neighbor_sets:
-            a = np.fromiter(sorted(s), dtype=np.int64, count=len(s))
+        pairs = _edge_pairs(edges)
+        bad = _first_bad_edge(n, pairs)
+        if bad:
+            raise ValueError(bad[1])
+        u, v = pairs.T
+        arcs = np.sort(np.concatenate((u * n + v, v * n + u)))
+        self._degrees = np.bincount(arcs // n, minlength=n)
+        self.indptr = np.concatenate(([0], np.cumsum(self._degrees)))
+        self.indices = arcs % n
+        for a in (self._degrees, self.indptr, self.indices):
             a.flags.writeable = False
-            adj.append(a)
+        self._starts = self.indptr.tolist()  # list indexing is cheaper than indptr's
         self._n = n
-        self._adj = tuple(adj)
-        degrees = np.array([a.size for a in adj], dtype=np.int64)
-        degrees.flags.writeable = False
-        self._degrees = degrees
-        self._num_edges = int(degrees.sum()) // 2
 
     @property
     def n(self) -> int:
@@ -61,7 +86,7 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return self._num_edges
+        return self.indices.size // 2
 
     @property
     def degrees(self) -> np.ndarray:
@@ -72,30 +97,28 @@ class Graph:
         return int(self._degrees[v])
 
     def neighbors(self, v: int) -> np.ndarray:
-        """Sorted read-only array of neighbors of v."""
-        return self._adj[v]
+        """Sorted read-only view of the neighbors of v."""
+        return self.indices[self._starts[v] : self._starts[v + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
-        row = self._adj[u]
-        i = int(np.searchsorted(row, v))
+        row = self.neighbors(u)
+        i = int(row.searchsorted(v))
         return i < row.size and row[i] == v
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as (u, v) with u < v, in ascending order."""
-        for u in range(self._n):
-            for v in self._adj[u]:
-                if u < v:
-                    yield u, int(v)
+        firsts = np.repeat(np.arange(self._n), self._degrees)
+        upper = firsts < self.indices
+        return zip(firsts[upper].tolist(), self.indices[upper].tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._n == other._n and all(
-            np.array_equal(a, b) for a, b in zip(self._adj, other._adj)
-        )
+        same = self._n == other._n and np.array_equal(self.indptr, other.indptr)
+        return same and np.array_equal(self.indices, other.indices)
 
     def __repr__(self) -> str:
-        return f"Graph(n={self._n}, edges={self._num_edges})"
+        return f"Graph(n={self._n}, edges={self.num_edges})"
 
 
 def default_er_p(n: int) -> float:
@@ -110,17 +133,23 @@ def default_ws_k(n: int) -> int:
 
 
 def gen_erdos_renyi(n: int, p: float, seed: int) -> Graph:
-    """G(n, p): each of the n(n-1)/2 edges present independently with probability p."""
+    """G(n, p): each of the n(n-1)/2 edges present independently with probability p.
+
+    One double per pair in row order (0, 1), ..., (0, n-1), (1, 2), ..., drawn
+    in blocks of 2**16, which take the same numbers from the stream as one
+    draw per row would."""
     if n < 2:
         raise ValueError(f"need at least 2 vertices, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
-    edges = []
-    for u in range(n - 1):
-        hits = np.flatnonzero(rng.random(n - 1 - u) < p)
-        edges.extend((u, u + 1 + int(j)) for j in hits)
-    return Graph(n, edges)
+    rows = np.arange(n - 1)
+    row_start = rows * (n - 1) - rows * (rows - 1) // 2  # flat index of pair (u, u+1)
+    total, block = n * (n - 1) // 2, 1 << 16
+    flat = np.concatenate([np.flatnonzero(rng.random(min(block, total - lo)) < p) + lo
+                           for lo in range(0, total, block)])
+    u = np.searchsorted(row_start, flat, side="right") - 1
+    return Graph(n, np.column_stack((u, flat - row_start[u] + u + 1)))
 
 
 def gen_watts_strogatz(n: int, k: int, beta: float, seed: int) -> Graph:
@@ -138,39 +167,37 @@ def gen_watts_strogatz(n: int, k: int, beta: float, seed: int) -> Graph:
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"rewiring probability must be in [0, 1], got {beta}")
     rng = np.random.default_rng(seed)
-    adj: list[set[int]] = [set() for _ in range(n)]
+    random, integers = rng.random, rng.integers
     half = k // 2
-    for u in range(n):
-        for off in range(1, half + 1):
-            v = (u + off) % n
-            adj[u].add(v)
-            adj[v].add(u)
-    for off in range(1, half + 1):
-        for u in range(n):
-            v = (u + off) % n
-            if rng.random() >= beta:
-                continue
-            if len(adj[u]) >= n - 1:
-                continue  # neighborhood full, nothing to rewire to
-            mask = np.ones(n, dtype=bool)
-            mask[u] = False
-            mask[list(adj[u])] = False
-            choices = np.flatnonzero(mask)
-            w = int(choices[rng.integers(choices.size)])
-            adj[u].remove(v)
-            adj[v].remove(u)
-            adj[u].add(w)
-            adj[w].add(u)
-    edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
-    return Graph(n, edges)
+    # closed neighborhoods: u's own entry makes sorted(closed[u]) what u may not pick
+    closed = [{(u + off) % n for off in range(-half, half + 1)} for u in range(n)]
+    # far end of the lattice edge (u, u + off), at [(off - 1) * n + u]; rewiring moves it
+    far = [(u + off) % n for off in range(1, half + 1) for u in range(n)]
+    for slot in range(half * n):
+        u = slot % n
+        if random() >= beta or len(closed[u]) >= n:
+            continue  # kept, or neighborhood full: nothing to rewire to
+        # the w-th vertex outside closed[u]: step w past each member at or below it
+        w = int(integers(n - len(closed[u])))
+        for x in sorted(closed[u]):
+            if x > w:
+                break
+            w += 1
+        v, far[slot] = far[slot], w
+        closed[u] ^= {v, w}  # u trades v for w
+        closed[v].remove(u)
+        closed[w].add(u)
+    return Graph(n, np.column_stack((np.tile(np.arange(n), half), far)))
 
 
 def gen_barabasi_albert(n: int, m0: int, seed: int) -> Graph:
     """Preferential attachment starting from a complete graph on m0+1 vertices.
 
     Each new vertex attaches m0 edges to distinct existing vertices, sampled
-    without replacement with probability proportional to current degree.
-    """
+    without replacement with probability proportional to current degree, as
+    numpy 2's Generator.choice(v, m0, replace=False, p=...) samples: draw the
+    missing picks, zero the found ones' weight, search the renormalised
+    cumulative weights, keep first occurrences in draw order, repeat."""
     if not 1 <= m0 < n:
         raise ValueError(f"attachment count must satisfy 1 <= m0 < n, got m0={m0}, n={n}")
     rng = np.random.default_rng(seed)
@@ -178,10 +205,20 @@ def gen_barabasi_albert(n: int, m0: int, seed: int) -> Graph:
     degrees = np.zeros(n, dtype=np.float64)
     degrees[: m0 + 1] = m0
     for v in range(m0 + 1, n):
-        weights = degrees[:v] / degrees[:v].sum()
-        targets = rng.choice(v, size=m0, replace=False, p=weights)
-        for t in targets:
-            edges.append((int(t), v))
+        # the degrees are integers, so every partial sum is exact: this is degrees[:v].sum()
+        p = degrees[:v] / (2 * len(edges))
+        found: list[int] = []
+        while len(found) < m0:
+            x = rng.random(m0 - len(found))
+            if found:
+                p[found] = 0.0
+            cdf = np.cumsum(p)
+            cdf /= cdf[-1]
+            for t in cdf.searchsorted(x, side="right").tolist():
+                if t not in found:
+                    found.append(t)
+        for t in found:
+            edges.append((t, v))
             degrees[t] += 1
         degrees[v] = m0
     return Graph(n, edges)
@@ -218,23 +255,20 @@ def generate_graph(params: ModelParams, n: int, seed: Optional[int] = None) -> G
 
 
 def is_connected(graph: Graph) -> bool:
-    """True iff the graph has a single connected component."""
-    n = graph.n
-    if n <= 1:
-        return True
-    seen = np.zeros(n, dtype=bool)
+    """True iff the graph has a single connected component (level-by-level BFS)."""
+    indptr, indices, degrees = graph.indptr, graph.indices, graph.degrees
+    seen = np.zeros(graph.n, dtype=bool)
     seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for w in graph.neighbors(u):
-            w = int(w)
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == n
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        # positions of the frontier's rows in indices, concatenated
+        lengths = degrees[frontier]
+        offsets = np.cumsum(lengths) - lengths
+        pos = np.arange(int(lengths.sum())) + np.repeat(indptr[frontier] - offsets, lengths)
+        nbrs = indices[pos]
+        frontier = np.unique(nbrs[~seen[nbrs]])
+        seen[frontier] = True
+    return bool(seen.all())
 
 
 def derive_seed(*parts: int) -> int:
@@ -293,25 +327,23 @@ def read_edge_list(path) -> Graph:
         raise EdgeListParseError(f"line 1: vertex count {header[1]!r} is not an integer") from None
     if n < 1:
         raise EdgeListParseError(f"line 1: vertex count must be positive, got {n}")
-    edges = []
-    seen: set[tuple[int, int]] = set()
+    edges, linenos, malformed = [], [], None
     for lineno, line in enumerate(lines[1:], start=2):
         tokens = line.split()
         if not tokens:
             continue
         if len(tokens) != 2:
-            raise EdgeListParseError(f"line {lineno}: expected 'u v', got {line!r}")
+            malformed = f"line {lineno}: expected 'u v', got {line!r}"
+            break
         try:
-            u, v = int(tokens[0]), int(tokens[1])
+            edges.append((int(tokens[0]), int(tokens[1])))
         except ValueError:
-            raise EdgeListParseError(f"line {lineno}: non-integer vertex id in {line!r}") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise EdgeListParseError(f"line {lineno}: edge ({u}, {v}) out of range for n={n}")
-        if u == v:
-            raise EdgeListParseError(f"line {lineno}: self-loop at vertex {u}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise EdgeListParseError(f"line {lineno}: duplicate edge ({u}, {v})")
-        seen.add(key)
-        edges.append(key)
+            malformed = f"line {lineno}: non-integer vertex id in {line!r}"
+            break
+        linenos.append(lineno)
+    bad = _first_bad_edge(n, _edge_pairs(edges))  # a bad edge above the malformed line is first
+    if bad:
+        raise EdgeListParseError(f"line {linenos[bad[0]]}: {bad[1]}")
+    if malformed:
+        raise EdgeListParseError(malformed)
     return Graph(n, edges)

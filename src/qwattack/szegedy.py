@@ -150,10 +150,8 @@ class StochasticMatrix:
 
 
 def _adjacency(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """CSR arrays (indptr, indices) of the graph's sorted neighbor rows."""
-    indptr = np.zeros(graph.n + 1, dtype=np.int64)
-    np.cumsum(graph.degrees, out=indptr[1:])
-    return indptr, np.concatenate([graph.neighbors(v) for v in range(graph.n)])
+    """CSR arrays (indptr, indices) of the graph's sorted neighbor rows (read-only)."""
+    return graph.indptr, graph.indices
 
 
 def uniform_stochastic(graph: Graph) -> StochasticMatrix:
@@ -255,19 +253,37 @@ class PairSpace:
 
 
 class WalkState:
-    """Real amplitude vector over a PairSpace."""
+    """Real amplitude vector over a PairSpace.
 
-    __slots__ = ("space", "amps")
+    A state that WalkOperator.apply returns carries the norm its drift check
+    computed, and its amplitudes are read-only so that norm cannot go stale.
+    Any other state computes its norm on demand.
+    """
+
+    __slots__ = ("space", "_amps", "_norm")
 
     def __init__(self, space: PairSpace, amps: np.ndarray):
         amps = np.asarray(amps, dtype=np.float64)
         if amps.shape != (space.size,):
             raise ValueError(f"amplitude vector has shape {amps.shape}, expected ({space.size},)")
         self.space = space
-        self.amps = amps
+        self._amps = amps
+        self._norm: Optional[float] = None
+
+    @classmethod
+    def _stepped(cls, space: PairSpace, amps: np.ndarray, norm: float) -> "WalkState":
+        """A step's output: its amplitudes, frozen, with their known norm."""
+        amps.flags.writeable = False
+        state = cls(space, amps)
+        state._norm = norm
+        return state
+
+    @property
+    def amps(self) -> np.ndarray:
+        return self._amps
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        return float(np.linalg.norm(self._amps)) if self._norm is None else self._norm
 
     def copy(self) -> "WalkState":
         return WalkState(self.space, self.amps.copy())
@@ -388,13 +404,13 @@ class WalkOperator:
         r1[self._swapped_marked_pairs] *= -1.0  # Q2, read through the swap
         out = np.empty(self.space.size)
         amps = self._reflect(r1, self.space.second, self._swapped_profile, out)
-        norm_in = float(np.linalg.norm(state.amps))
+        norm_in = state.norm()
         norm_out = float(np.linalg.norm(amps))
         if abs(norm_out - norm_in) > NORM_DRIFT_LIMIT * max(1.0, norm_in):
             raise NumericalStabilityError(
                 f"walk step changed the state norm from {norm_in} to {norm_out}"
             )
-        return WalkState(self.space, amps)
+        return WalkState._stepped(self.space, amps, norm_out)
 
     def probabilities(self, state: WalkState) -> Iterator[float]:
         """Success probabilities p(0), p(1), ... of the marked set, walking from state.

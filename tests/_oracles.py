@@ -109,7 +109,42 @@ def max_marked_first_mass(basis: np.ndarray, marked, n: int) -> float:
     return float(sv[0] ** 2) if sv.size else 0.0
 
 
+# ----------------------------------------------------------- graph building
+
+def reference_rows(n: int, edges) -> list[list[int]]:
+    """Sorted neighbor rows built edge by edge with Python sets.
+
+    Raises ValueError at the first bad edge in input order, with the
+    message Graph gives: range first, then self-loop, then a repeat of an
+    earlier edge in either orientation.
+    """
+    rows = [set() for _ in range(n)]
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if v in rows[u]:
+            raise ValueError(f"duplicate edge ({u}, {v})")
+        rows[u].add(v)
+        rows[v].add(u)
+    return [sorted(r) for r in rows]
+
+
 # ----------------------------------------------------------- connectivity
+
+def connected_by_bfs(rows: list[list[int]]) -> bool:
+    """Vertex-at-a-time BFS over neighbor rows from vertex 0."""
+    seen = {0}
+    queue = [0]
+    for u in queue:
+        for w in rows[u]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return len(seen) == len(rows)
+
 
 def connected_by_union_find(graph: Graph) -> bool:
     parent = list(range(graph.n))

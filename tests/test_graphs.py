@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import connected_by_union_find, cycle, star
+from _oracles import connected_by_bfs, connected_by_union_find, cycle, reference_rows, star
 from qwattack.graphs import (
     EdgeListParseError,
     Graph,
@@ -189,6 +189,97 @@ class TestConnectivity:
         assert ok / 100 >= 0.99
 
 
+@st.composite
+def edge_lists(draw, max_n=24):
+    """(n, edges): a simple graph's edges in random order and orientation.
+
+    Sparse draws are often disconnected; n = 1 has no edges at all.
+    """
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    return n, [(v, u) if f else (u, v) for (u, v), f in zip(chosen, flips)]
+
+
+@st.composite
+def bad_edge_lists(draw):
+    """(n, edges) with at least one out-of-range, self-loop or repeated edge."""
+    n, edges = draw(edge_lists(max_n=12))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("range", "loop", "repeat") if edges else ("range", "loop")))
+        if kind == "range":
+            far = st.one_of(st.integers(-3, -1), st.integers(n, n + 3), st.just(2**70))
+            bad = (draw(far), draw(st.integers(0, n - 1)))
+            bad = bad[::-1] if draw(st.booleans()) else bad
+        elif kind == "loop":
+            v = draw(st.integers(0, n - 1))
+            bad = (v, v)
+        else:
+            u, v = draw(st.sampled_from(edges))
+            bad = (v, u) if draw(st.booleans()) else (u, v)
+        edges.insert(draw(st.integers(0, len(edges))), bad)
+    return n, edges
+
+
+class TestCsrAgainstReference:
+    """The CSR Graph and the frontier BFS against set- and queue-based oracles."""
+
+    @given(edge_lists())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_degrees_and_edges(self, case):
+        n, edges = case
+        g = Graph(n, edges)
+        rows = reference_rows(n, edges)
+        assert [g.neighbors(v).tolist() for v in range(n)] == rows
+        assert g.degrees.tolist() == [len(r) for r in rows]
+        assert g.indptr.tolist() == np.cumsum([0] + [len(r) for r in rows]).tolist()
+        assert list(g.edges()) == sorted((min(e), max(e)) for e in edges)
+        assert g.num_edges == len(edges)
+        for a in (g.indptr, g.indices, g.degrees, g.neighbors(0)):
+            assert not a.flags.writeable
+        assert Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2)) == g
+
+    @given(edge_lists())
+    @settings(max_examples=150, deadline=None)
+    def test_is_connected_matches_bfs(self, case):
+        n, edges = case
+        assert is_connected(Graph(n, edges)) == connected_by_bfs(reference_rows(n, edges))
+
+    @given(bad_edge_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_first_bad_edge_message(self, case):
+        n, edges = case
+        with pytest.raises(ValueError) as expected:
+            reference_rows(n, edges)
+        with pytest.raises(ValueError) as got:
+            Graph(n, edges)
+        assert str(got.value) == str(expected.value)
+
+    @given(bad_edge_lists())
+    @settings(max_examples=60, deadline=None)
+    def test_edge_list_file_names_first_bad_line(self, tmp_path_factory, case):
+        n, edges = case
+        path = tmp_path_factory.mktemp("io") / "bad.edges"
+        path.write_text(f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in edges) + "0 1 2\n")
+        with pytest.raises(ValueError) as expected:
+            for k in range(len(edges)):
+                reference_rows(n, edges[: k + 1])
+        with pytest.raises(EdgeListParseError) as got:
+            read_edge_list(path)
+        assert str(got.value) == f"line {k + 2}: {expected.value}"
+
+    def test_single_vertex(self):
+        g = Graph(1)
+        assert g.indptr.tolist() == [0, 0] and g.indices.size == 0
+        assert g.neighbors(0).size == 0 and list(g.edges()) == []
+        assert is_connected(g)
+
+    def test_rejects_edges_that_are_not_pairs(self):
+        with pytest.raises(ValueError, match="pairs"):
+            Graph(4, [(0, 1, 2)])
+
+
 class TestEdgeListIO:
     def test_round_trip_identity(self, tmp_path):
         g = gen_erdos_renyi(20, 0.3, seed=11)
@@ -226,6 +317,15 @@ class TestEdgeListIO:
         path = tmp_path / "bad.edges"
         path.write_text("n 5\n0 1 2\n")
         with pytest.raises(EdgeListParseError, match="line 2"):
+            read_edge_list(path)
+
+    def test_first_fault_in_file_order_is_reported(self, tmp_path):
+        path = tmp_path / "bad.edges"
+        path.write_text("n 5\n0 1\n0 1 2\n3 3\n")
+        with pytest.raises(EdgeListParseError, match="line 3: expected 'u v'"):
+            read_edge_list(path)
+        path.write_text("n 5\n0 1\n3 3\n0 x\n")
+        with pytest.raises(EdgeListParseError, match="line 3: self-loop"):
             read_edge_list(path)
 
     def test_missing_header_rejected(self, tmp_path):

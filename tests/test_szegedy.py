@@ -291,6 +291,41 @@ class TestUnitarityAndInvolutions:
         with pytest.raises(NumericalStabilityError):
             op.apply(s)
 
+    def test_stepped_state_carries_its_norm_and_is_frozen(self):
+        g = gen_watts_strogatz(30, 4, 0.5, seed=2)
+        chain = uniform_stochastic(g)
+        space = PairSpace.from_graph(g)
+        op = WalkOperator(chain, [0, 1], space=space)
+        s = initial_state(chain, space=space)
+        for _ in range(5):
+            s = op.apply(s)
+            assert s.norm() == float(np.linalg.norm(s.amps))
+            assert not s.amps.flags.writeable
+        with pytest.raises(ValueError):
+            s.amps[0] = 1.0
+        with pytest.raises(AttributeError):
+            s.amps = np.zeros(space.size)
+        twin = s.copy()
+        assert twin.amps.flags.writeable and twin.norm() == s.norm()
+
+    def test_user_state_norm_is_computed_on_demand(self):
+        space = PairSpace.from_graph(cycle(5))
+        s = WalkState(space, np.zeros(space.size))
+        assert s.norm() == 0.0
+        s.amps[3] = 2.0
+        assert s.norm() == 2.0
+
+    def test_norm_guard_raises_after_a_good_step(self):
+        # the second step's input norm is the carried one; the check still fires
+        g = cycle(6)
+        chain = uniform_stochastic(g)
+        space = PairSpace.from_graph(g)
+        op = WalkOperator(chain, [0], space=space)
+        s = op.apply(initial_state(chain, space=space))
+        op._swapped_profile = op._swapped_profile * 1.5
+        with pytest.raises(NumericalStabilityError, match="changed the state norm from"):
+            op.apply(s)
+
     def test_space_mismatch_rejected(self):
         g1, g2 = cycle(4), cycle(5)
         op = WalkOperator(uniform_stochastic(g1), [0])
