@@ -1,4 +1,4 @@
-"""Byte-for-byte golden outputs: small fig1/fig2 CSVs, walk-trace and edge-list digests.
+"""Byte-for-byte golden outputs: small fig1/fig2/fig3 CSVs, walk-trace and edge-list digests.
 
 The goldens under tests/golden/ pin what the engine computes, bit for bit.
 A refactor or speed-up that keeps the arithmetic must leave them unchanged.
@@ -19,8 +19,10 @@ from qwattack.experiments import (
     ExperimentConfig,
     run_fig1,
     run_fig2,
+    run_fig3,
     write_fig1_csv,
     write_fig2_csv,
+    write_fig3_csv,
 )
 from qwattack.graphs import (
     ModelParams,
@@ -37,6 +39,9 @@ FIG2_CONFIG = ExperimentConfig(
 )
 FIG1_CONFIG = ExperimentConfig(
     "fig1", models=("er", "ws", "ba"), n_grid=(60, 120), samples_per_n=5, root_seed=0
+)
+FIG3_CONFIG = ExperimentConfig(
+    "fig3", models=("er", "ws", "ba"), n_grid=(60, 90, 120), samples_per_n=2, root_seed=1
 )
 TRACE_SIZES = (100, 400)
 TRACE_STEPS = 300
@@ -103,6 +108,7 @@ def write_goldens(directory: Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     write_fig2_csv(run_fig2(FIG2_CONFIG), directory / "fig2.csv")
     write_fig1_csv(run_fig1(FIG1_CONFIG), directory / "fig1.csv")
+    write_fig3_csv(run_fig3(FIG3_CONFIG)[0], directory / "fig3.csv")
     with open(directory / "traces.json", "w", encoding="ascii", newline="\n") as fh:
         json.dump(trace_digests(), fh, indent=1)
         fh.write("\n")
@@ -121,6 +127,12 @@ def test_fig1_csv_matches_golden(tmp_path):
     out = tmp_path / "fig1.csv"
     write_fig1_csv(run_fig1(FIG1_CONFIG), out)
     assert out.read_bytes() == (GOLDEN_DIR / "fig1.csv").read_bytes()
+
+
+def test_fig3_csv_matches_golden(tmp_path):
+    out = tmp_path / "fig3.csv"
+    write_fig3_csv(run_fig3(FIG3_CONFIG)[0], out)
+    assert out.read_bytes() == (GOLDEN_DIR / "fig3.csv").read_bytes()
 
 
 def test_trace_digests_match_golden():
