@@ -58,8 +58,6 @@ from .szegedy import (
     StochasticMatrix,
     WalkOperator,
     WalkState,
-    absorb_marked,
-    apply_walk,
     initial_state,
     probability_trace,
     success_probability,

@@ -1,30 +1,24 @@
 """Search instances, expected runtime, attacks, and efficiency measures.
 
-A search instance fixes the graph, the marked set, the measurement time t,
-and the chain parametrizing the walk. An attack replaces the marked set with
-a superset forming an exceptional configuration; it can never touch the
-engine, the graph, the chain, or t. Efficiency compares expected runtimes
-at the common t; strong efficiency lets the defender re-optimize the
-measurement time on the attacked instance.
+A search instance fixes the graph, the marked set and the measurement time
+t; the walk is always the graph's uniform chain (szegedy.search_start). An
+attack replaces the marked set with a superset forming an exceptional
+configuration; it can never touch the engine, the graph, the walk, or t.
+Efficiency compares expected runtimes at the common t; strong efficiency
+lets the defender re-optimize the measurement time on the attacked instance.
 """
 
 import math
 from dataclasses import dataclass, field, replace
 from numbers import Real
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .exceptional import ExceptionalConfiguration
 from .graphs import Graph
-from .szegedy import (
-    SearchStart,
-    StochasticMatrix,
-    WalkOperator,
-    search_start,
-    uniform_stochastic,
-)
+from .szegedy import SearchStart, WalkOperator, search_start
 
 _MAX_OPT_STEPS = 10_000_000
 
@@ -36,12 +30,11 @@ def default_t_pen(n: int) -> int:
 
 @dataclass(frozen=True)
 class SearchInstance:
-    """A Szegedy spatial-search run: (graph, marked set, measurement time, chain)."""
+    """A Szegedy spatial-search run: (graph, marked set, measurement time)."""
 
     graph: Graph
     marked: frozenset[int]
     t: int
-    chain: Optional[StochasticMatrix] = None  # None means the uniform chain
 
     def __post_init__(self):
         object.__setattr__(self, "marked", frozenset(int(v) for v in self.marked))
@@ -51,11 +44,6 @@ class SearchInstance:
             raise ValueError(f"marked set {sorted(self.marked)} out of range for n={self.graph.n}")
         if self.t < 0:
             raise ValueError(f"measurement time must be nonnegative, got {self.t}")
-        if self.chain is not None and self.chain.n != self.graph.n:
-            raise ValueError("chain dimension does not match the graph")
-
-    def resolved_chain(self) -> StochasticMatrix:
-        return self.chain if self.chain is not None else uniform_stochastic(self.graph)
 
 
 def expected_runtime(t: int, p: float, t_pen: int = 0) -> float:
@@ -90,27 +78,25 @@ def _probability_at(start: SearchStart, marked: Iterable[int], t: int) -> float:
     return next(islice(_probabilities(start, marked), t, None))
 
 
-def probability_at(
-    graph: Graph, marked: Iterable[int], t: int, chain: Optional[StochasticMatrix] = None
-) -> float:
+def probability_at(graph: Graph, marked: Iterable[int], t: int) -> float:
     """Success probability after exactly t steps of the search walk."""
     if t < 0:
         raise ValueError(f"measurement time must be nonnegative, got {t}")
     marked = frozenset(int(v) for v in marked)
     if not marked:
         raise ValueError("marked set must be nonempty")
-    return _probability_at(search_start(graph, chain), marked, t)
+    return _probability_at(search_start(graph), marked, t)
 
 
 def instance_probability(inst: SearchInstance) -> float:
     """Success probability of the instance at its own measurement time."""
-    return probability_at(inst.graph, inst.marked, inst.t, inst.chain)
+    return probability_at(inst.graph, inst.marked, inst.t)
 
 
 def apply_attack(inst: SearchInstance, ec: ExceptionalConfiguration) -> SearchInstance:
     """Mark the configuration's vertices on top of the instance's marked set.
 
-    The graph, chain, and measurement time are untouched; only the marked
+    The graph and the measurement time are untouched; only the marked
     set grows. The configuration must be anchored at an already-marked
     vertex and must add at least one new vertex.
     """
@@ -129,10 +115,7 @@ class OptimizeResult(NamedTuple):
 
 
 def optimize_measurement_time(
-    graph: Graph,
-    marked: Iterable[int],
-    chain: Optional[StochasticMatrix] = None,
-    t_pen: int = 0,
+    graph: Graph, marked: Iterable[int], t_pen: int = 0
 ) -> OptimizeResult:
     """Globally minimize (t + t_pen) / p(t) over integer measurement times.
 
@@ -143,7 +126,7 @@ def optimize_measurement_time(
     """
     if t_pen < 0:
         raise ValueError(f"t_pen must be nonnegative, got {t_pen}")
-    return _optimize(search_start(graph, chain), marked, t_pen)
+    return _optimize(search_start(graph), marked, t_pen)
 
 
 def _optimize(start: SearchStart, marked: Iterable[int], t_pen: int) -> OptimizeResult:
@@ -166,6 +149,14 @@ def _optimize(start: SearchStart, marked: Iterable[int], t_pen: int) -> Optimize
                 best = OptimizeResult(t, T, p)
 
 
+def _base_probability(start: SearchStart, inst: SearchInstance) -> float:
+    """p(t) of the instance at its own t; raises when it is zero."""
+    p_base = _probability_at(start, inst.marked, inst.t)
+    if p_base <= 0:
+        raise ValueError("base instance has zero success probability at its measurement time")
+    return p_base
+
+
 def attack_efficiency(inst: SearchInstance, attacked: SearchInstance) -> float:
     """1 - p(attacked) / p(inst) at the shared measurement time.
 
@@ -177,12 +168,9 @@ def attack_efficiency(inst: SearchInstance, attacked: SearchInstance) -> float:
         raise ValueError(f"instances disagree on measurement time: {inst.t} vs {attacked.t}")
     if inst.graph is not attacked.graph and inst.graph != attacked.graph:
         raise ValueError("instances disagree on the graph")
-    if inst.chain != attacked.chain:
-        raise ValueError("instances disagree on the chain")
-    p_base = instance_probability(inst)
-    if p_base <= 0:
-        raise ValueError("base instance has zero success probability at its measurement time")
-    return efficiency(p_base, instance_probability(attacked))
+    start = search_start(inst.graph)
+    p_base = _base_probability(start, inst)
+    return efficiency(p_base, _probability_at(start, attacked.marked, attacked.t))
 
 
 def strong_attack_efficiency(
@@ -194,12 +182,9 @@ def strong_attack_efficiency(
     optimistic reading, and <= 0 whenever the attack is the identity and t
     was already optimal.
     """
-    p_base = instance_probability(inst)
-    if p_base <= 0:
-        raise ValueError("base instance has zero success probability at its measurement time")
-    T_base = expected_runtime(inst.t, p_base, t_pen)
-    opt = optimize_measurement_time(inst.graph, attacked_marked, inst.chain, t_pen)
-    return 1.0 - T_base / opt.T_opt
+    start = search_start(inst.graph)
+    T_base = expected_runtime(inst.t, _base_probability(start, inst), t_pen)
+    return 1.0 - T_base / _optimize(start, attacked_marked, t_pen).T_opt
 
 
 @dataclass(frozen=True)
@@ -258,7 +243,6 @@ def evaluate_attack(
     marked: Iterable[int],
     ec: ExceptionalConfiguration,
     t_pen: int,
-    chain: Optional[StochasticMatrix] = None,
     model: str = "",
     seed: int = 0,
     graph_regens: int = 0,
@@ -272,9 +256,9 @@ def evaluate_attack(
     three walks share one chain, pair space and start state.
     """
     marked = frozenset(int(v) for v in marked)
-    start = search_start(graph, chain)
+    start = search_start(graph)
     base_opt = _optimize(start, marked, t_pen)
-    base = SearchInstance(graph, marked, base_opt.t_opt, chain)
+    base = SearchInstance(graph, marked, base_opt.t_opt)
     attacked = apply_attack(base, ec)
     p_att = _probability_at(start, attacked.marked, base_opt.t_opt)
     att_opt = _optimize(start, attacked.marked, t_pen)

@@ -1,8 +1,9 @@
 """Szegedy search walk on the ordered-pair space of a graph.
 
 The walk state lives on ordered vertex pairs (v, w) and all amplitudes are
-real. One search step applies the two reflections of the quantized chain,
-each composed with a phase oracle that negates marked components:
+real. One search step applies the two reflections of the quantized uniform
+chain P(w, v) = 1/deg(v), each composed with a phase oracle that negates
+marked components:
 
     step = R2 Q2 R1 Q1
 
@@ -16,14 +17,14 @@ an empty marked set the step reduces to the plain quantized walk R2 R1.
 """
 
 import math
+from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from .graphs import Graph
 
-COLUMN_SUM_TOL = 1e-12
 NORM_DRIFT_LIMIT = 1e-8
 
 
@@ -31,153 +32,29 @@ class NumericalStabilityError(ArithmeticError):
     """Norm drift exceeded the stability budget during evolution."""
 
 
+@dataclass(frozen=True, eq=False)
 class StochasticMatrix:
-    """Column-stochastic matrix in compressed sparse column (CSR-by-column) form.
+    """Uniform walk chain of a graph in compressed columns, built by uniform_stochastic.
 
-    Column v's support is indices[indptr[v]:indptr[v + 1]], sorted, unique
-    and in [0, n); its weights are the same slice of weights, nonnegative and
-    summing to 1 within COLUMN_SUM_TOL. The three arrays are read-only
-    copies, validated once on construction.
+    Column v puts weight weights[k] = 1/deg(v) on each neighbor indices[k],
+    k in [indptr[v], indptr[v + 1]); indptr and indices are the graph's own
+    read-only arrays, and weights is read-only too.
     """
 
-    __slots__ = ("_n", "indptr", "indices", "weights")
-
-    def __init__(self, n: int, columns: Sequence[tuple[np.ndarray, np.ndarray]]):
-        """Build from per-column (support, weights) pairs."""
-        if len(columns) != n:
-            raise ValueError(f"expected {n} columns, got {len(columns)}")
-        # an empty leading entry keeps the concatenations typed for n = 0
-        # and makes the running sizes start indptr at 0
-        supports = [np.empty(0, dtype=np.int64)]
-        weights = [np.empty(0)]
-        for v, (idx, wts) in enumerate(columns):
-            idx = np.asarray(idx, dtype=np.int64)
-            wts = np.asarray(wts, dtype=np.float64)
-            if idx.shape != wts.shape or idx.ndim != 1:
-                raise ValueError(f"column {v}: support and weights must be 1-d and equal length")
-            supports.append(idx)
-            weights.append(wts)
-        indptr = np.cumsum([idx.size for idx in supports])
-        self._set_columns(n, indptr, np.concatenate(supports), np.concatenate(weights))
-
-    @classmethod
-    def from_csr(cls, n: int, indptr, indices, weights) -> "StochasticMatrix":
-        """Build from compressed columns (copied and validated)."""
-        matrix = cls.__new__(cls)
-        matrix._set_columns(n, indptr, indices, weights)
-        return matrix
-
-    def _set_columns(self, n: int, indptr, indices, weights) -> None:
-        indptr = np.array(indptr, dtype=np.int64)
-        indices = np.array(indices, dtype=np.int64)
-        weights = np.array(weights, dtype=np.float64)
-        sizes = np.diff(indptr)
-        if (
-            indptr.shape != (n + 1,)
-            or indptr[0] != 0
-            or np.any(sizes < 0)
-            or indices.ndim != 1
-            or indices.shape != weights.shape
-            or indptr[-1] != indices.size
-        ):
-            raise ValueError("indptr must rise from 0 to the entry count over n + 1 entries")
-        empty = np.flatnonzero(sizes == 0)
-        if empty.size:
-            raise ValueError(f"column {empty[0]} is empty; a stochastic column must sum to 1")
-        cols = np.repeat(np.arange(n, dtype=np.int64), sizes)
-        # within a column each support index must exceed its predecessor;
-        # the differences taken across a column boundary do not count
-        unordered = (indices < 0) | (indices >= n)
-        rises = np.diff(indices) > 0
-        rises[indptr[1:-1] - 1] = True
-        unordered[1:] |= ~rises
-        for bad, what in (
-            (unordered, f"support must be sorted, unique, and in [0, {n})"),
-            (weights < 0, "negative weight"),
-        ):
-            if bad.any():
-                raise ValueError(f"column {cols[bad.argmax()]}: {what}")
-        totals = np.bincount(cols, weights=weights, minlength=n)
-        off = np.flatnonzero(~(np.abs(totals - 1.0) <= COLUMN_SUM_TOL))
-        if off.size:
-            v = off[0]
-            raise ValueError(f"column {v} sums to {totals[v]}, not 1 within {COLUMN_SUM_TOL}")
-        for a in (indptr, indices, weights):
-            a.flags.writeable = False
-        self._n = n
-        self.indptr = indptr
-        self.indices = indices
-        self.weights = weights
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    def column(self, v: int) -> tuple[np.ndarray, np.ndarray]:
-        """Support indices and weights of column v (read-only views)."""
-        lo, hi = self.indptr[v], self.indptr[v + 1]
-        return self.indices[lo:hi], self.weights[lo:hi]
-
-    def entry_columns(self) -> np.ndarray:
-        """Column of every stored entry, aligned with indices and weights."""
-        return np.repeat(np.arange(self._n, dtype=np.int64), np.diff(self.indptr))
-
-    def entry(self, w: int, v: int) -> float:
-        """Matrix entry P(w, v): the weight of w in column v (0 off support)."""
-        idx, wts = self.column(v)
-        i = int(np.searchsorted(idx, w))
-        if i < idx.size and idx[i] == w:
-            return float(wts[i])
-        return 0.0
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self._n, self._n))
-        out[self.indices, self.entry_columns()] = self.weights
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StochasticMatrix):
-            return NotImplemented
-        return (
-            self._n == other._n
-            and np.array_equal(self.indptr, other.indptr)
-            and np.array_equal(self.indices, other.indices)
-            and np.array_equal(self.weights, other.weights)
-        )
-
-    def __repr__(self) -> str:
-        return f"StochasticMatrix(n={self._n}, nnz={self.indices.size})"
-
-
-def _adjacency(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """CSR arrays (indptr, indices) of the graph's sorted neighbor rows (read-only)."""
-    return graph.indptr, graph.indices
+    n: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
 
 
 def uniform_stochastic(graph: Graph) -> StochasticMatrix:
     """Uniform walk chain: column v puts weight 1/deg(v) on each neighbor of v."""
-    degrees = graph.degrees
-    isolated = np.flatnonzero(degrees == 0)
+    isolated = np.flatnonzero(graph.degrees == 0)
     if isolated.size:
         raise ValueError(f"vertex {isolated[0]} is isolated; the uniform chain is undefined")
-    indptr, indices = _adjacency(graph)
-    return StochasticMatrix.from_csr(graph.n, indptr, indices, np.repeat(1.0 / degrees, degrees))
-
-
-def absorb_marked(chain: StochasticMatrix, marked: Iterable[int]) -> StochasticMatrix:
-    """Replace each marked column by the unit self-column; others unchanged."""
-    marked = {int(v) for v in marked}
-    if not marked:
-        raise ValueError("marked set must be nonempty")
-    if not all(0 <= v < chain.n for v in marked):
-        raise ValueError(f"marked set {sorted(marked)} out of range for n={chain.n}")
-    cols = []
-    for v in range(chain.n):
-        if v in marked:
-            cols.append((np.array([v], dtype=np.int64), np.array([1.0])))
-        else:
-            cols.append(chain.column(v))
-    return StochasticMatrix(chain.n, cols)
+    weights = np.repeat(1.0 / graph.degrees, graph.degrees)
+    weights.flags.writeable = False
+    return StochasticMatrix(graph.n, graph.indptr, graph.indices, weights)
 
 
 class PairSpace:
@@ -215,19 +92,7 @@ class PairSpace:
     @classmethod
     def from_graph(cls, graph: Graph) -> "PairSpace":
         """Directed edge pairs of the graph plus every self-pair (v, v)."""
-        n = graph.n
-        _, seconds = _adjacency(graph)
-        firsts = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
-        selfs = np.arange(n, dtype=np.int64) * (n + 1)
-        return cls(n, np.concatenate([firsts * n + seconds, selfs]))
-
-    @classmethod
-    def from_stochastic(cls, chain: StochasticMatrix) -> "PairSpace":
-        """Support pairs of the chain, their transposes, and all self-pairs."""
-        n = chain.n
-        cols, rows = chain.entry_columns(), chain.indices
-        selfs = np.arange(n, dtype=np.int64) * (n + 1)
-        return cls(n, np.concatenate([selfs, cols * n + rows, rows * n + cols]))
+        return _arc_space(graph.n, graph.indptr, graph.indices)
 
     @property
     def size(self) -> int:
@@ -292,10 +157,18 @@ class WalkState:
         return f"WalkState(n={self.space.n}, size={self.space.size}, norm={self.norm():.6f})"
 
 
+def _arc_space(n: int, indptr: np.ndarray, indices: np.ndarray) -> PairSpace:
+    """The arcs (v, w) of the CSR neighbor rows plus every self-pair (v, v)."""
+    firsts = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    selfs = np.arange(n, dtype=np.int64) * (n + 1)
+    return PairSpace(n, np.concatenate([firsts * n + indices, selfs]))
+
+
 def _scatter_sqrt_columns(space: PairSpace, chain: StochasticMatrix) -> np.ndarray:
     """Vector a with a[(v, w)] = sqrt(chain(w, v)) over the pair space."""
+    cols = np.repeat(np.arange(chain.n, dtype=np.int64), np.diff(chain.indptr))
     out = np.zeros(space.size)
-    out[space.index_of(chain.entry_columns(), chain.indices)] = np.sqrt(chain.weights)
+    out[space.index_of(cols, chain.indices)] = np.sqrt(chain.weights)
     return out
 
 
@@ -331,13 +204,10 @@ class WalkOperator:
     """
 
     def __init__(
-        self,
-        chain: StochasticMatrix,
-        marked: Iterable[int] = (),
-        space: Optional[PairSpace] = None,
+        self, chain: StochasticMatrix, marked: Iterable[int] = (), space: Optional[PairSpace] = None
     ):
         if space is None:
-            space = PairSpace.from_stochastic(chain)
+            space = _arc_space(chain.n, chain.indptr, chain.indices)
         elif space.n != chain.n:
             raise ValueError(f"pair space is on {space.n} vertices, chain on {chain.n}")
         marked = {int(v) for v in marked}
@@ -352,15 +222,10 @@ class WalkOperator:
         self._swapped_marked_pairs = space.swap_index[self._marked_pairs]
         self._after_q1 = np.empty(space.size)
         self._after_r1 = np.empty(space.size)
-        self._compatible_ids = {id(space)}
 
     def _check_space(self, state: WalkState) -> None:
-        if id(state.space) in self._compatible_ids:
-            return
-        if state.space == self.space:
-            self._compatible_ids.add(id(state.space))
-            return
-        raise ValueError("state pair space does not match the operator pair space")
+        if state.space is not self.space and state.space != self.space:
+            raise ValueError("state pair space does not match the operator pair space")
 
     def _reflect(
         self, amps: np.ndarray, blocks: np.ndarray, profile: np.ndarray, out: np.ndarray
@@ -380,19 +245,16 @@ class WalkOperator:
 
     def reflect_first(self, state: WalkState) -> WalkState:
         """Apply the bare reflection R1 only (exposed for involution checks)."""
-        self._check_space(state)
-        out = np.empty(self.space.size)
-        return WalkState(
-            self.space, self._reflect(state.amps, self.space.first, self._profile, out)
-        )
+        return self._reflected(state, self.space.first, self._profile)
 
     def reflect_second(self, state: WalkState) -> WalkState:
         """Apply the bare reflection R2 = Swap R1 Swap only."""
+        return self._reflected(state, self.space.second, self._swapped_profile)
+
+    def _reflected(self, state: WalkState, blocks: np.ndarray, profile: np.ndarray) -> WalkState:
         self._check_space(state)
         out = np.empty(self.space.size)
-        return WalkState(
-            self.space, self._reflect(state.amps, self.space.second, self._swapped_profile, out)
-        )
+        return WalkState(self.space, self._reflect(state.amps, blocks, profile, out))
 
     def apply(self, state: WalkState) -> WalkState:
         """One full search step R2 Q2 R1 Q1; raises on norm drift beyond 1e-8."""
@@ -423,23 +285,14 @@ class WalkOperator:
             state = self.apply(state)
 
 
-def apply_walk(operator: WalkOperator, state: WalkState) -> WalkState:
-    """Functional alias for one walk step."""
-    return operator.apply(state)
-
-
-def initial_state(
-    chain: StochasticMatrix, n: Optional[int] = None, space: Optional[PairSpace] = None
-) -> WalkState:
+def initial_state(chain: StochasticMatrix, space: Optional[PairSpace] = None) -> WalkState:
     """Uniform superposition of column profiles: amp(v, w) = sqrt(P(w, v)) / sqrt(n).
 
     The first-register marginal is exactly uniform, so any marked set S
     starts at success probability |S|/n.
     """
-    if n is not None and n != chain.n:
-        raise ValueError(f"chain is on {chain.n} vertices, expected {n}")
     if space is None:
-        space = PairSpace.from_stochastic(chain)
+        space = _arc_space(chain.n, chain.indptr, chain.indices)
     return WalkState(space, _scatter_sqrt_columns(space, chain) / math.sqrt(chain.n))
 
 
@@ -459,28 +312,21 @@ class SearchStart(NamedTuple):
     state: WalkState
 
 
-def search_start(graph: Graph, chain: Optional[StochasticMatrix] = None) -> SearchStart:
-    """The chain (uniform by default), the graph's pair space and the start state.
+def search_start(graph: Graph) -> SearchStart:
+    """The graph's uniform chain, its pair space and the start state.
 
-    Build it once per graph and pass it to a WalkOperator per marked set.
+    Every search walk here runs on its graph's uniform chain. Build this once
+    per graph and pass it to a WalkOperator per marked set.
     """
-    if chain is None:
-        chain = uniform_stochastic(graph)
-    elif chain.n != graph.n:
-        raise ValueError(f"chain is on {chain.n} vertices, graph on {graph.n}")
+    chain = uniform_stochastic(graph)
     space = PairSpace.from_graph(graph)
     return SearchStart(chain, space, initial_state(chain, space=space))
 
 
-def probability_trace(
-    graph: Graph,
-    marked: Iterable[int],
-    t_max: int,
-    chain: Optional[StochasticMatrix] = None,
-) -> np.ndarray:
+def probability_trace(graph: Graph, marked: Iterable[int], t_max: int) -> np.ndarray:
     """Success probabilities p(0..t_max) of the search walk for the marked set.
 
-    Builds the search step from the chain (uniform by default) with the
+    Builds the search step from the graph's uniform chain with the
     marked-set oracles and starts from the uniform column superposition,
     so p(0) = |S|/n.
     """
@@ -489,6 +335,6 @@ def probability_trace(
     marked = sorted({int(v) for v in marked})
     if not marked:
         raise ValueError("marked set must be nonempty")
-    start = search_start(graph, chain)
+    start = search_start(graph)
     probs = WalkOperator(start.chain, marked, space=start.space).probabilities(start.state)
     return np.fromiter(islice(probs, t_max + 1), dtype=np.float64, count=t_max + 1)

@@ -99,7 +99,6 @@ class TestApplyAttack:
         assert attacked.marked == {2, 3}
         assert attacked.t == inst.t
         assert attacked.graph is inst.graph
-        assert attacked.chain == inst.chain
 
     def test_triangle_attack(self):
         g = complete(4)
