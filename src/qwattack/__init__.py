@@ -6,35 +6,33 @@ from .attack import (
     OptimizeResult,
     SearchInstance,
     apply_attack,
-    attack_efficiency,
     default_t_pen,
     efficiency,
     efficiency_statistics,
     evaluate_attack,
     expected_runtime,
     optimize_measurement_time,
-    strong_attack_efficiency,
 )
 from .exceptional import (
     ECKind,
     ExceptionalConfiguration,
-    FormationEstimate,
-    ec_formation_probability,
     find_2ec,
     find_3ec,
     find_ec_within_distance,
     is_exceptional,
-    wilson_interval,
 )
 from .experiments import (
     ExperimentConfig,
     Fig1Row,
+    FormationEstimate,
     RegressionResult,
+    ec_formation_probability,
     expand_grid,
     fit_loglog,
     run_fig1,
     run_fig2,
     run_fig3,
+    wilson_interval,
 )
 from .graphs import (
     EdgeListParseError,
@@ -49,7 +47,6 @@ from .graphs import (
     generate_graph,
     is_connected,
     read_edge_list,
-    sample_connected_graph,
     write_edge_list,
 )
 from .szegedy import (

@@ -9,7 +9,7 @@ lets the defender re-optimize the measurement time on the attacked instance.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from numbers import Real
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -80,17 +80,8 @@ def _probability_at(start: SearchStart, marked: Iterable[int], t: int) -> float:
 
 def probability_at(graph: Graph, marked: Iterable[int], t: int) -> float:
     """Success probability after exactly t steps of the search walk."""
-    if t < 0:
-        raise ValueError(f"measurement time must be nonnegative, got {t}")
-    marked = frozenset(int(v) for v in marked)
-    if not marked:
-        raise ValueError("marked set must be nonempty")
-    return _probability_at(search_start(graph), marked, t)
-
-
-def instance_probability(inst: SearchInstance) -> float:
-    """Success probability of the instance at its own measurement time."""
-    return probability_at(inst.graph, inst.marked, inst.t)
+    inst = SearchInstance(graph, marked, t)  # validates the marked set and t
+    return _probability_at(search_start(graph), inst.marked, t)
 
 
 def apply_attack(inst: SearchInstance, ec: ExceptionalConfiguration) -> SearchInstance:
@@ -102,8 +93,7 @@ def apply_attack(inst: SearchInstance, ec: ExceptionalConfiguration) -> SearchIn
     """
     if ec.anchor not in inst.marked:
         raise ValueError(f"configuration anchor {ec.anchor} is not a marked vertex")
-    added = set(ec.vertices) - inst.marked
-    if not added:
+    if set(ec.vertices) <= inst.marked:
         raise ValueError(f"configuration {ec.vertices} adds no new marked vertex")
     return replace(inst, marked=frozenset(inst.marked | set(ec.vertices)))
 
@@ -149,44 +139,6 @@ def _optimize(start: SearchStart, marked: Iterable[int], t_pen: int) -> Optimize
                 best = OptimizeResult(t, T, p)
 
 
-def _base_probability(start: SearchStart, inst: SearchInstance) -> float:
-    """p(t) of the instance at its own t; raises when it is zero."""
-    p_base = _probability_at(start, inst.marked, inst.t)
-    if p_base <= 0:
-        raise ValueError("base instance has zero success probability at its measurement time")
-    return p_base
-
-
-def attack_efficiency(inst: SearchInstance, attacked: SearchInstance) -> float:
-    """1 - p(attacked) / p(inst) at the shared measurement time.
-
-    Identical to 1 - T(inst)/T(attacked) because t (and any penalty) is
-    common to both instances. Positive means the attack slowed the search;
-    the sign is preserved when an attack accidentally helps.
-    """
-    if inst.t != attacked.t:
-        raise ValueError(f"instances disagree on measurement time: {inst.t} vs {attacked.t}")
-    if inst.graph is not attacked.graph and inst.graph != attacked.graph:
-        raise ValueError("instances disagree on the graph")
-    start = search_start(inst.graph)
-    p_base = _base_probability(start, inst)
-    return efficiency(p_base, _probability_at(start, attacked.marked, attacked.t))
-
-
-def strong_attack_efficiency(
-    inst: SearchInstance, attacked_marked: Iterable[int], t_pen: int = 0
-) -> float:
-    """Efficiency against a defender who re-optimizes the measurement time.
-
-    1 - T_base(t) / min_tau T_attacked(tau); at most the plain efficiency's
-    optimistic reading, and <= 0 whenever the attack is the identity and t
-    was already optimal.
-    """
-    start = search_start(inst.graph)
-    T_base = expected_runtime(inst.t, _base_probability(start, inst), t_pen)
-    return 1.0 - T_base / _optimize(start, attacked_marked, t_pen).T_opt
-
-
 @dataclass(frozen=True)
 class AttackReport:
     """One attacked instance, flattened to the experiment CSV row schema."""
@@ -226,16 +178,18 @@ CSV_COLUMNS = (
 )
 
 
+def csv_field(value) -> str:
+    """One CSV field: floats at full round-trip precision, tuples ';'-joined."""
+    if isinstance(value, float):
+        return repr(float(value))
+    if isinstance(value, tuple):
+        return ";".join(str(v) for v in value)
+    return str(value)
+
+
 def report_row(report: AttackReport) -> list[str]:
-    """Serialize a report to the CSV row (full float round-trip precision)."""
-    added = ";".join(str(v) for v in report.added)
-    vals = (
-        report.model, report.n, report.seed, report.anchor, added, report.kind,
-        report.t_base, report.p_base, report.T_base, report.p_attacked,
-        report.T_attacked, report.eff, report.t_opt, report.T_opt,
-        report.strong_eff, report.t_pen, report.graph_regens, report.anchor_retries,
-    )
-    return [repr(float(v)) if isinstance(v, float) else str(v) for v in vals]
+    """Serialize a report to the CSV row; the fields are in column order."""
+    return [csv_field(v) for v in astuple(report)]
 
 
 def evaluate_attack(

@@ -9,7 +9,10 @@ Flags may also be supplied through a plain key=value config file via
 import argparse
 import secrets
 import sys
+from contextlib import contextmanager
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .attack import CSV_COLUMNS, default_t_pen, evaluate_attack, report_row
 from .exceptional import find_ec_within_distance
@@ -33,6 +36,7 @@ from .experiments import (
     write_fig2_csv,
     write_fig3_csv,
 )
+from .szegedy import probability_trace
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -80,11 +84,7 @@ def _parse_models(raw: str) -> tuple[str, ...]:
     return models
 
 
-def _parse_vertices(raw: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in raw.split(",") if v.strip())
-
-
-def _parse_orders(raw: str) -> tuple[int, ...]:
+def _parse_ints(raw: str) -> tuple[int, ...]:
     return tuple(int(v) for v in raw.split(",") if v.strip())
 
 
@@ -92,6 +92,13 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key=value file supplying defaults for any flag")
     sub.add_argument("--seed", type=int, help="root RNG seed (generated and printed if omitted)")
     sub.add_argument("--out", help="output path (stdout for scan/search/attack if omitted)")
+
+
+def _add_model_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--p", type=float, help="ER edge probability (default 2 ln(n)/n)")
+    sub.add_argument("--k", type=int, help="WS initial degree (default even ceil(2 ln n))")
+    sub.add_argument("--beta", type=float, help="WS rewiring probability (default 0.5)")
+    sub.add_argument("--m0", type=int, help="BA attachment count (default 3)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,29 +111,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="draw one random graph and write its edge list")
     p.add_argument("--model", choices=MODELS)
     p.add_argument("--n", type=int)
-    p.add_argument("--p", type=float, help="ER edge probability (default 2 ln(n)/n)")
-    p.add_argument("--k", type=int, help="WS initial degree (default even ceil(2 ln n))")
-    p.add_argument("--beta", type=float, help="WS rewiring probability (default 0.5)")
-    p.add_argument("--m0", type=int, help="BA attachment count (default 3)")
+    _add_model_flags(p)
     _add_common(p)
 
     p = sub.add_parser("scan-ec", help="list exceptional configurations at a vertex")
-    p.add_argument("--in", dest="infile", help="edge-list file")
+    p.add_argument("--in", help="edge-list file")
     p.add_argument("--vertex", type=int)
-    p.add_argument("--orders", type=_parse_orders, help="comma list among 2,3 (default 2,3)")
+    p.add_argument("--orders", type=_parse_ints, help="comma list among 2,3 (default 2,3)")
     p.add_argument("--distance", type=int, choices=(1, 2), help="hop-distance cap (default none)")
     _add_common(p)
 
     p = sub.add_parser("search", help="success-probability trace of the search walk")
-    p.add_argument("--in", dest="infile", help="edge-list file")
-    p.add_argument("--marked", type=_parse_vertices, help="comma list of marked vertices")
+    p.add_argument("--in", help="edge-list file")
+    p.add_argument("--marked", type=_parse_ints, help="comma list of marked vertices")
     p.add_argument("--t-max", type=int, dest="t_max")
     _add_common(p)
 
     p = sub.add_parser("attack", help="attack one marked vertex with a random EC")
-    p.add_argument("--in", dest="infile", help="edge-list file")
+    p.add_argument("--in", help="edge-list file")
     p.add_argument("--marked", type=int, help="the single originally marked vertex")
-    p.add_argument("--orders", type=_parse_orders, help="comma list among 2,3 (default 2)")
+    p.add_argument("--orders", type=_parse_ints, help="comma list among 2,3 (default 2)")
     p.add_argument("--distance", type=int, choices=(1, 2), help="hop-distance cap (default none)")
     p.add_argument("--t-pen", type=int, dest="t_pen", help="penalty steps (default ceil(ln n))")
     _add_common(p)
@@ -143,8 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "fig1":
             p.add_argument("--t-pen", type=int, dest="t_pen", help="penalty steps (default ceil(ln n))")
         if name == "fig3":
-            p.add_argument("--in", dest="infile", help="existing fig2 CSV to regress instead of re-running")
+            p.add_argument("--in", help="existing fig2 CSV to regress instead of re-running")
             p.add_argument("--samples-out", dest="samples_out", help="also write the underlying fig2 CSV here")
+        _add_model_flags(p)
         _add_common(p)
 
     return parser
@@ -158,27 +163,32 @@ def _resolve_seed(opts: _Options) -> int:
     return seed
 
 
-def _open_out(opts: _Options):
+@contextmanager
+def _output(opts: _Options):
+    """The --out file, closed on exit, or stdout when --out is not given."""
     path = opts.get("out")
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="ascii", newline="\n"), True
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        yield fh
 
 
-def _cmd_generate(opts: _Options) -> int:
-    model = opts.require("model")
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}")
-    n = opts.require("n", int)
-    seed = _resolve_seed(opts)
-    params = ModelParams(
-        model=model,
+def _model_values(opts: _Options) -> dict:
+    """The model parameters shared by ModelParams and ExperimentConfig."""
+    return dict(
         er_p=opts.get("p", None, float),
         ws_k=opts.get("k", None, int),
         ws_beta=opts.get("beta", 0.5, float),
         ba_m0=opts.get("m0", 3, int),
     )
-    graph = generate_graph(params, n, seed=seed)
+
+
+def _cmd_generate(opts: _Options) -> int:
+    model = opts.require("model")
+    n = opts.require("n", int)
+    seed = _resolve_seed(opts)
+    graph = generate_graph(ModelParams(model=model, **_model_values(opts)), n, seed=seed)
     out = opts.require("out")
     write_edge_list(graph, out)
     print(f"wrote {model} graph n={graph.n} edges={graph.num_edges} to {out}", file=sys.stderr)
@@ -186,51 +196,39 @@ def _cmd_generate(opts: _Options) -> int:
 
 
 def _cmd_scan_ec(opts: _Options) -> int:
-    graph = read_edge_list(opts.require("infile"))
+    graph = read_edge_list(opts.require("in"))
     vertex = opts.require("vertex", int)
     if not 0 <= vertex < graph.n:
         raise ValueError(f"vertex {vertex} out of range for n={graph.n}")
-    orders = opts.get("orders", (2, 3), _parse_orders)
+    orders = opts.get("orders", (2, 3), _parse_ints)
     distance = opts.get("distance", None, int)
     configs = find_ec_within_distance(graph, vertex, distance, orders)
-    fh, close = _open_out(opts)
-    try:
+    with _output(opts) as fh:
         fh.write("anchor,kind,vertices\n")
         for ec in configs:
             fh.write(f"{ec.anchor},{ec.kind.value},{';'.join(str(v) for v in ec.vertices)}\n")
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
 def _cmd_search(opts: _Options) -> int:
-    from .szegedy import probability_trace
-
-    graph = read_edge_list(opts.require("infile"))
-    marked = opts.require("marked", _parse_vertices)
+    graph = read_edge_list(opts.require("in"))
+    marked = opts.require("marked", _parse_ints)
     t_max = opts.require("t-max", int)
     trace = probability_trace(graph, marked, t_max)
-    fh, close = _open_out(opts)
-    try:
+    with _output(opts) as fh:
         fh.write("t,probability\n")
         for t, p in enumerate(trace):
             fh.write(f"{t},{float(p)!r}\n")
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
 def _cmd_attack(opts: _Options) -> int:
-    import numpy as np
-
-    graph = read_edge_list(opts.require("infile"))
+    graph = read_edge_list(opts.require("in"))
     anchor = opts.require("marked", int)
     if not 0 <= anchor < graph.n:
         raise ValueError(f"vertex {anchor} out of range for n={graph.n}")
     seed = _resolve_seed(opts)
-    orders = opts.get("orders", (2,), _parse_orders)
+    orders = opts.get("orders", (2,), _parse_ints)
     distance = opts.get("distance", None, int)
     t_pen = opts.get("t-pen", default_t_pen(graph.n), int)
     configs = find_ec_within_distance(graph, anchor, distance, orders)
@@ -241,13 +239,9 @@ def _cmd_attack(opts: _Options) -> int:
     rng = np.random.default_rng(seed)
     ec = configs[int(rng.integers(len(configs)))]
     report = evaluate_attack(graph, {anchor}, ec, t_pen, model="file", seed=seed)
-    fh, close = _open_out(opts)
-    try:
+    with _output(opts) as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         fh.write(",".join(report_row(report)) + "\n")
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
@@ -256,12 +250,9 @@ def _experiment_config(name: str, opts: _Options) -> ExperimentConfig:
     grid_raw = opts.get("n-grid", None)
     if single_n is not None and grid_raw is not None:
         raise ValueError("give either --n or --n-grid, not both")
+    grid = () if grid_raw is None else expand_grid(grid_raw)
     if single_n is not None:
         grid = (single_n,)
-    elif grid_raw is not None:
-        grid = expand_grid(grid_raw)
-    else:
-        grid = ()
     default_samples = 50 if name == "fig1" else 20
     return ExperimentConfig(
         experiment=name,
@@ -271,10 +262,7 @@ def _experiment_config(name: str, opts: _Options) -> ExperimentConfig:
         t_pen=opts.get("t-pen", None, int),
         root_seed=_resolve_seed(opts),
         workers=opts.get("workers", default_workers(), int),
-        er_p=opts.get("p", None, float),
-        ws_k=opts.get("k", None, int),
-        ws_beta=opts.get("beta", 0.5, float),
-        ba_m0=opts.get("m0", 3, int),
+        **_model_values(opts),
     )
 
 
@@ -305,7 +293,7 @@ def _cmd_fig2(opts: _Options) -> int:
 
 def _cmd_fig3(opts: _Options) -> int:
     config = _experiment_config("fig3", opts)
-    infile = opts.get("infile")
+    infile = opts.get("in")
     reports = read_fig2_csv(infile) if infile else None
     labeled, reports = run_fig3(config, reports)
     out = opts.require("out")
@@ -342,6 +330,12 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+    # a config key is a flag of the subcommand without its leading dashes
+    keys = {dest.replace("_", "-") for dest in vars(args)} - {"command", "config"}
+    unknown = sorted(set(config) - keys)
+    if unknown:
+        print(f"error: {args.config}: unknown config keys {unknown} for {args.command}", file=sys.stderr)
+        return 1
     opts = _Options(args, config)
     try:
         return _COMMANDS[args.command](opts)

@@ -8,15 +8,12 @@ pair with equal degrees, a triangle, or a 3-vertex path whose middle degree
 equals the sum of the end degrees.
 """
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
-import numpy as np
-
-from .graphs import Graph, ModelParams, derive_seed, sample_connected_graph
+from .graphs import Graph
 
 
 class ECKind(str, Enum):
@@ -180,57 +177,3 @@ def find_ec_within_distance(
         found = [ec for ec in found if all(u in dist for u in ec.vertices)]
     found.sort(key=lambda ec: (_KIND_RANK[ec.kind], ec.vertices))
     return found
-
-
-def wilson_interval(successes: int, total: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (default 95%)."""
-    if total < 1:
-        raise ValueError("total must be positive")
-    if not 0 <= successes <= total:
-        raise ValueError(f"successes {successes} out of range for total {total}")
-    phat = successes / total
-    denom = 1.0 + z * z / total
-    center = (phat + z * z / (2 * total)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / total + z * z / (4 * total * total)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
-
-
-@dataclass(frozen=True)
-class FormationEstimate:
-    """Empirical probability that a random vertex admits a configuration."""
-
-    probability: float
-    ci_low: float
-    ci_high: float
-    samples: int
-    successes: int
-    regenerations: int
-
-
-def ec_formation_probability(
-    params: ModelParams,
-    n: int,
-    orders: Iterable[int] = (2, 3),
-    d: Optional[int] = None,
-    samples: int = 100,
-    seed: int = 0,
-) -> FormationEstimate:
-    """Fraction of (connected graph, uniform vertex) draws with a nonempty EC set.
-
-    Disconnected draws are regenerated with fresh derived seeds and counted.
-    A Wilson 95% interval accompanies the point estimate.
-    """
-    if samples < 1:
-        raise ValueError(f"samples must be positive, got {samples}")
-    orders = tuple(sorted({int(o) for o in orders}))
-    successes = 0
-    regens = 0
-    for i in range(samples):
-        graph, attempts, attempt_seed = sample_connected_graph(params, n, seed, i)
-        regens += attempts
-        rng = np.random.default_rng(derive_seed(attempt_seed, 1))
-        v = int(rng.integers(n))
-        if find_ec_within_distance(graph, v, d, orders):
-            successes += 1
-    lo, hi = wilson_interval(successes, samples)
-    return FormationEstimate(successes / samples, lo, hi, samples, successes, regens)

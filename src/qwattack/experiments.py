@@ -1,10 +1,10 @@
 """Experiment harness: EC-formation scans, attack-efficiency sweeps, and
 complexity-exponent regressions, emitted as CSV datasets.
 
-Every sample derives its own seed from (root_seed, model, n, sample index,
-attempt), so results are byte-identical for a fixed configuration regardless
-of the worker count, and any CSV row can be re-derived from its recorded
-seed alone.
+Every connected graph is drawn by _connected_draws. A fig1/fig2 sample
+derives its own seed from (root_seed, model, n, sample index, attempt), so
+results are byte-identical for a fixed configuration regardless of the
+worker count, and any CSV row can be re-derived from its recorded seed alone.
 """
 
 import csv
@@ -12,13 +12,13 @@ import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .attack import CSV_COLUMNS, AttackReport, default_t_pen, evaluate_attack, report_row
-from .exceptional import ECKind, find_2ec, find_ec_within_distance, wilson_interval
+from .attack import CSV_COLUMNS, AttackReport, csv_field, default_t_pen, evaluate_attack
+from .exceptional import ECKind, find_2ec, find_ec_within_distance
 from .graphs import MODELS, ModelParams, derive_seed, generate_graph, is_connected
 
 WORKERS_ENV = "QWATTACK_WORKERS"
@@ -98,9 +98,7 @@ class ExperimentConfig:
             raise ValueError("workers must be positive")
 
     def model_params(self, model: str) -> ModelParams:
-        return ModelParams(
-            model=model, er_p=self.er_p, ws_k=self.ws_k, ws_beta=self.ws_beta, ba_m0=self.ba_m0
-        )
+        return ModelParams(model, self.er_p, self.ws_k, self.ws_beta, self.ba_m0)
 
     def t_pen_for(self, n: int) -> int:
         return default_t_pen(n) if self.t_pen is None else self.t_pen
@@ -139,18 +137,19 @@ def _run_pool(worker, tasks, workers: int):
         return list(pool.map(worker, tasks, chunksize=1))
 
 
-def _connected_draws(model: str, n: int, sample_idx: int, root_seed: int, params: ModelParams):
-    """The sample's connected draws in attempt order, as (attempt, attempt_seed, graph).
+def _connected_draws(params: ModelParams, n: int, *seed_parts: int):
+    """Connected draws in attempt order, as (attempt, attempt_seed, graph).
 
-    Every attempt before the one yielded was a regeneration. Raises once
-    _MAX_ATTEMPTS attempts are spent.
+    Attempt k seeds with derive_seed(*seed_parts, k) and draws its graph from
+    derive_seed(attempt_seed, 0); every attempt before the one yielded was a
+    regeneration. Raises once _MAX_ATTEMPTS attempts are spent.
     """
     for attempt in range(_MAX_ATTEMPTS):
-        attempt_seed = derive_seed(root_seed, _MODEL_INDEX[model], n, sample_idx, attempt)
+        attempt_seed = derive_seed(*seed_parts, attempt)
         graph = generate_graph(params, n, seed=derive_seed(attempt_seed, 0))
         if is_connected(graph):
             yield attempt, attempt_seed, graph
-    raise RuntimeError(f"no usable {model} graph of order {n} after {_MAX_ATTEMPTS} attempts")
+    raise RuntimeError(f"no connected {params.model} graph of order {n} after {_MAX_ATTEMPTS} attempts")
 
 
 def _pick_2ec(graph, attempt_seed: int):
@@ -165,27 +164,83 @@ def _pick_2ec(graph, attempt_seed: int):
     return None, n
 
 
-def _fig1_cell(task) -> list[Fig1Row]:
-    """All requested panels for one (model, n), sharing the sampled draws."""
-    model, n, samples, root_seed, panels, params = task
-    hits = {panel: 0 for panel in panels}
+def _formation_counts(params: ModelParams, n: int, specs, samples: int, *seed_parts: int):
+    """(EC hits per (orders, d) spec, graph regenerations) over `samples` draws.
+
+    Sample i takes the first connected draw seeded by (*seed_parts, i) and one
+    uniform vertex from derive_seed(attempt_seed, 1), and checks every spec at
+    that vertex.
+    """
+    hits = [0] * len(specs)
     regens = 0
     for i in range(samples):
-        attempt, attempt_seed, graph = next(_connected_draws(model, n, i, root_seed, params))
+        attempt, attempt_seed, graph = next(_connected_draws(params, n, *seed_parts, i))
         regens += attempt
         v = int(np.random.default_rng(derive_seed(attempt_seed, 1)).integers(n))
-        for panel in panels:
-            orders, d = _PANEL_SPEC[panel]
+        for k, (orders, d) in enumerate(specs):
             if find_ec_within_distance(graph, v, d, orders):
-                hits[panel] += 1
-    return [Fig1Row(model, n, panel, hits[panel] / samples, *wilson_interval(hits[panel], samples),
-                    samples, root_seed, regens) for panel in panels]
+                hits[k] += 1
+    return hits, regens
+
+
+def wilson_interval(successes: int, total: int, z: float = 1.959963984540054) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion (default 95%)."""
+    if total < 1:
+        raise ValueError("total must be positive")
+    if not 0 <= successes <= total:
+        raise ValueError(f"successes {successes} out of range for total {total}")
+    phat = successes / total
+    denom = 1.0 + z * z / total
+    center = (phat + z * z / (2 * total)) / denom
+    half = z * math.sqrt(phat * (1 - phat) / total + z * z / (4 * total * total)) / denom
+    return max(0.0, center - half), min(1.0, center + half)
+
+
+@dataclass(frozen=True)
+class FormationEstimate:
+    """Empirical probability that a random vertex admits a configuration."""
+
+    probability: float
+    ci_low: float
+    ci_high: float
+    samples: int
+    successes: int
+    regenerations: int
+
+
+def ec_formation_probability(
+    params: ModelParams,
+    n: int,
+    orders: Iterable[int] = (2, 3),
+    d: Optional[int] = None,
+    samples: int = 100,
+    seed: int = 0,
+) -> FormationEstimate:
+    """Fraction of (connected graph, uniform vertex) draws with a nonempty EC set.
+
+    Sample i draws from the seed parts (seed, i). Disconnected draws are
+    regenerated with fresh derived seeds and counted. A Wilson 95% interval
+    accompanies the point estimate.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be positive, got {samples}")
+    (hits,), regens = _formation_counts(params, n, [(tuple(orders), d)], samples, seed)
+    return FormationEstimate(hits / samples, *wilson_interval(hits, samples), samples, hits, regens)
+
+
+def _fig1_cell(task) -> list[Fig1Row]:
+    """All requested panels for one (model, n), sharing the sampled draws."""
+    params, n, samples, root_seed, panels = task
+    specs = [_PANEL_SPEC[panel] for panel in panels]
+    hits, regens = _formation_counts(params, n, specs, samples, root_seed, _MODEL_INDEX[params.model], n)
+    return [Fig1Row(params.model, n, panel, h / samples, *wilson_interval(h, samples),
+                    samples, root_seed, regens) for panel, h in zip(panels, hits)]
 
 
 def run_fig1(config: ExperimentConfig) -> list[Fig1Row]:
     """EC-formation probabilities per (model, n, panel)."""
     tasks = [
-        (model, n, config.samples_per_n, config.root_seed, config.panels, config.model_params(model))
+        (config.model_params(model), n, config.samples_per_n, config.root_seed, config.panels)
         for model in config.models
         for n in config.n_grid
     ]
@@ -195,13 +250,14 @@ def run_fig1(config: ExperimentConfig) -> list[Fig1Row]:
 
 def _fig2_sample(task) -> AttackReport:
     """One attacked instance: sample a connected graph and a 2EC anchor, evaluate."""
-    model, n, sample_idx, root_seed, t_pen, params = task
+    params, n, sample_idx, root_seed, t_pen = task
     anchor_retries = 0
-    for attempt, attempt_seed, graph in _connected_draws(model, n, sample_idx, root_seed, params):
+    draws = _connected_draws(params, n, root_seed, _MODEL_INDEX[params.model], n, sample_idx)
+    for attempt, attempt_seed, graph in draws:
         ec, retries = _pick_2ec(graph, attempt_seed)
         anchor_retries += retries
         if ec is not None:
-            return evaluate_attack(graph, {ec.anchor}, ec, t_pen, model=model, seed=attempt_seed,
+            return evaluate_attack(graph, {ec.anchor}, ec, t_pen, model=params.model, seed=attempt_seed,
                                    graph_regens=attempt, anchor_retries=anchor_retries)
 
 
@@ -222,7 +278,7 @@ def rederive_fig2_sample(model: str, n: int, attempt_seed: int, t_pen: int,
 def run_fig2(config: ExperimentConfig) -> list[AttackReport]:
     """Attack-efficiency sweep: one report per (model, n, sample)."""
     tasks = [
-        (model, n, i, config.root_seed, config.t_pen_for(n), config.model_params(model))
+        (config.model_params(model), n, i, config.root_seed, config.t_pen_for(n))
         for model in config.models
         for n in config.n_grid
         for i in range(config.samples_per_n)
@@ -277,10 +333,8 @@ def regress_reports(reports: Sequence[AttackReport], models: Sequence[str]) -> l
     out = []
     for model in models:
         rows = [r for r in reports if r.model == model]
-        ns_ref, ts_ref = _per_n_geometric_means((r.n, r.T_base) for r in rows)
-        ns_att, ts_att = _per_n_geometric_means((r.n, r.T_attacked) for r in rows)
-        out.append(fit_loglog(ns_ref, ts_ref))
-        out.append(fit_loglog(ns_att, ts_att))
+        out.append(fit_loglog(*_per_n_geometric_means((r.n, r.T_base) for r in rows)))
+        out.append(fit_loglog(*_per_n_geometric_means((r.n, r.T_attacked) for r in rows)))
     return out
 
 
@@ -294,37 +348,28 @@ def run_fig3(
     """
     if reports is None:
         reports = run_fig2(replace(config, experiment="fig2"))
-    labeled = []
-    results = regress_reports(reports, config.models)
-    for i, model in enumerate(config.models):
-        labeled.append((model, "ref", results[2 * i]))
-        labeled.append((model, "attacked", results[2 * i + 1]))
+    results = iter(regress_reports(reports, config.models))
+    labeled = [(model, variant, next(results)) for model in config.models for variant in ("ref", "attacked")]
     return labeled, list(reports)
 
 
-def _fmt(value) -> str:
-    return repr(float(value)) if isinstance(value, float) else str(value)
+def _write_csv(path, columns: Sequence[str], rows: Iterable[Iterable]) -> None:
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(csv_field(v) for v in row) + "\n")
 
 
 def write_fig1_csv(rows: Sequence[Fig1Row], path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(FIG1_COLUMNS) + "\n")
-        for r in rows:  # the fields are in column order
-            fh.write(",".join(_fmt(v) for v in astuple(r)) + "\n")
+    _write_csv(path, FIG1_COLUMNS, map(astuple, rows))  # the fields are in column order
 
 
 def write_fig2_csv(reports: Sequence[AttackReport], path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for report in reports:
-            fh.write(",".join(report_row(report)) + "\n")
+    _write_csv(path, CSV_COLUMNS, map(astuple, reports))
 
 
 def write_fig3_csv(labeled: Sequence[tuple[str, str, RegressionResult]], path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(FIG3_COLUMNS) + "\n")
-        for model, variant, res in labeled:
-            fh.write(",".join(_fmt(v) for v in (model, variant, *astuple(res))) + "\n")
+    _write_csv(path, FIG3_COLUMNS, ((model, variant, *astuple(res)) for model, variant, res in labeled))
 
 
 class Fig2CsvParseError(ValueError):
@@ -338,14 +383,18 @@ _FIG2_KINDS = frozenset(kind.value for kind in ECKind)
 def read_fig2_csv(path) -> list[AttackReport]:
     """Parse a fig2 CSV back into reports (resample columns optional).
 
-    Raises Fig2CsvParseError with the line number for a missing or unknown
-    column, a row with the wrong field count, an unknown kind, and a value
-    that does not parse or fails the report's own consistency checks.
+    Raises Fig2CsvParseError with the line number for a missing, unknown or
+    duplicated column, a row with the wrong field count, an unknown kind, and
+    a value that does not parse or fails the report's own consistency checks.
     """
     reports = []
     with open(path, "r", encoding="ascii", newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
+        # DictReader keeps the last of two same-named columns, so reject them
+        duplicate = sorted({c for c in header if header.count(c) > 1})
+        if duplicate:
+            raise Fig2CsvParseError(f"line 1: duplicate columns {duplicate}")
         unknown = [c for c in header if c not in CSV_COLUMNS]
         if unknown:
             raise Fig2CsvParseError(f"line 1: unknown columns {unknown}")
@@ -366,23 +415,8 @@ def read_fig2_csv(path) -> list[AttackReport]:
 
 
 def _fig2_report(row: dict) -> AttackReport:
-    return AttackReport(
-        model=row["model"],
-        n=int(row["n"]),
-        seed=int(row["seed"]),
-        anchor=int(row["anchor"]),
-        added=tuple(int(v) for v in row["added_vertices"].split(";") if v),
-        kind=row["kind"],
-        t_base=int(row["t_base"]),
-        p_base=float(row["p_base"]),
-        T_base=float(row["T_base"]),
-        p_attacked=float(row["p_attacked"]),
-        T_attacked=float(row["T_attacked"]),
-        eff=float(row["eff"]),
-        t_opt=int(row["t_opt"]),
-        T_opt=float(row["T_opt"]),
-        strong_eff=float(row["strong_eff"]),
-        t_pen=int(row["t_pen"]),
-        graph_regens=int(row.get("graph_regens", 0) or 0),
-        anchor_retries=int(row.get("anchor_retries", 0) or 0),
-    )
+    values = []
+    for f, column in zip(fields(AttackReport), CSV_COLUMNS):  # the fields are in column order
+        raw = (row.get(column) or "0") if column in _FIG2_OPTIONAL else row[column]
+        values.append(tuple(int(v) for v in raw.split(";") if v) if f.name == "added" else f.type(raw))
+    return AttackReport(*values)

@@ -12,8 +12,6 @@ import numpy as np
 
 MODELS = ("er", "ws", "ba")
 
-_MAX_REGENERATIONS = 1000
-
 
 class EdgeListParseError(ValueError):
     """Raised when an edge-list file violates the format contract."""
@@ -234,17 +232,14 @@ class ModelParams:
     ws_k: Optional[int] = None
     ws_beta: float = 0.5
     ba_m0: int = 3
-    seed: int = 0
 
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}, expected one of {MODELS}")
 
 
-def generate_graph(params: ModelParams, n: int, seed: Optional[int] = None) -> Graph:
+def generate_graph(params: ModelParams, n: int, seed: int) -> Graph:
     """Draw one graph of order n from the parametrized random model."""
-    if seed is None:
-        seed = params.seed
     if params.model == "er":
         p = default_er_p(n) if params.er_p is None else params.er_p
         return gen_erdos_renyi(n, p, seed)
@@ -279,25 +274,6 @@ def derive_seed(*parts: int) -> int:
     """
     ss = np.random.SeedSequence([int(p) & 0xFFFFFFFFFFFFFFFF for p in parts])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-def sample_connected_graph(
-    params: ModelParams, n: int, *seed_parts: int, max_attempts: int = _MAX_REGENERATIONS
-) -> tuple[Graph, int, int]:
-    """Sample from the model, regenerating disconnected draws with fresh seeds.
-
-    Returns (graph, regenerations, attempt_seed). The attempt seed is the
-    value recorded in experiment output; re-deriving from it reproduces the
-    graph via generate_graph(params, n, derive_seed(attempt_seed, 0)).
-    """
-    for attempt in range(max_attempts):
-        attempt_seed = derive_seed(*seed_parts, attempt)
-        graph = generate_graph(params, n, seed=derive_seed(attempt_seed, 0))
-        if is_connected(graph):
-            return graph, attempt, attempt_seed
-    raise RuntimeError(
-        f"no connected {params.model} graph of order {n} after {max_attempts} attempts"
-    )
 
 
 def write_edge_list(graph: Graph, path) -> None:

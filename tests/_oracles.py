@@ -258,6 +258,33 @@ def brute_force_ecs(graph: Graph, v: int) -> set:
     return out
 
 
+# ------------------------------------------------- stationary-state witness
+
+
+def stationary_witness(graph: Graph, H, space) -> tuple[np.ndarray, float]:
+    """Candidate +1 eigenvector of the search step marking H, and its residual.
+
+    On `space`'s pairs, x is 1 on every arc not inside H and 0 on self-pairs.
+    On each edge {a, b} inside H it takes one symmetric value, solved by
+    least squares from sum_{v' in H, v' ~ v} x(v, v') = h_v - d_v at every v
+    in H (h_v: v's degree inside H, d_v: its degree in the graph). The
+    residual, max |A x - b| of that |H| x |E_H| system, is 0 exactly when H
+    is exceptional: H non-bipartite, or bipartite with equal degree sums.
+    """
+    verts = sorted({int(v) for v in H})
+    row = {v: i for i, v in enumerate(verts)}
+    edges = [(a, b) for a, b in itertools.combinations(verts, 2) if graph.has_edge(a, b)]
+    A = np.zeros((len(verts), len(edges)))
+    for e, (a, b) in enumerate(edges):
+        A[row[a], e] = A[row[b], e] = 1.0
+    rhs = A.sum(axis=1) - np.array([graph.degree(v) for v in verts], dtype=np.float64)
+    x = np.linalg.lstsq(A, rhs, rcond=None)[0]
+    amps = np.where(space.first == space.second, 0.0, 1.0)
+    for e, (a, b) in enumerate(edges):
+        amps[space.index_of([a, b], [b, a])] = x[e]
+    return amps, float(np.max(np.abs(A @ x - rhs)))
+
+
 # ----------------------------------------------------------- optimizer oracle
 
 def brute_force_optimum(trace: np.ndarray, t_pen: int) -> tuple[int, float]:

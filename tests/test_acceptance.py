@@ -26,9 +26,10 @@ from _oracles import (
     star,
 )
 from qwattack.attack import default_t_pen, optimize_measurement_time, probability_at
-from qwattack.exceptional import ec_formation_probability, find_2ec, find_3ec
+from qwattack.exceptional import find_2ec, find_3ec
 from qwattack.experiments import (
     ExperimentConfig,
+    ec_formation_probability,
     fit_loglog,
     regress_reports,
     run_fig1,

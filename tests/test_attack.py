@@ -8,16 +8,13 @@ from qwattack.attack import (
     AttackReport,
     SearchInstance,
     apply_attack,
-    attack_efficiency,
     default_t_pen,
     efficiency,
     efficiency_statistics,
     evaluate_attack,
     expected_runtime,
-    instance_probability,
     optimize_measurement_time,
     probability_at,
-    strong_attack_efficiency,
 )
 from qwattack.exceptional import ECKind, ExceptionalConfiguration, find_2ec
 from qwattack.graphs import ModelParams, generate_graph, is_connected
@@ -81,13 +78,6 @@ class TestSearchInstance:
             SearchInstance(g, frozenset({9}), 3)
         with pytest.raises(ValueError, match="nonnegative"):
             SearchInstance(g, frozenset({0}), -1)
-
-    def test_probability_matches_trace(self):
-        g = connected_sample("er", 40)
-        inst = SearchInstance(g, frozenset({0}), 6)
-        assert instance_probability(inst) == pytest.approx(
-            probability_trace(g, [0], 6)[6], abs=1e-14
-        )
 
 
 class TestApplyAttack:
@@ -173,72 +163,6 @@ class TestOptimizer:
             optimize_measurement_time(cycle(4), [0], t_pen=-1)
 
 
-class TestEfficiencies:
-    def test_identity_attack_zero_efficiency(self):
-        g = connected_sample("ws", 50)
-        inst = SearchInstance(g, frozenset({0}), 4)
-        assert attack_efficiency(inst, inst) == 0.0
-
-    def test_mismatched_time_rejected(self):
-        g = cycle(8)
-        a = SearchInstance(g, frozenset({0}), 4)
-        b = SearchInstance(g, frozenset({0}), 5)
-        with pytest.raises(ValueError, match="measurement time"):
-            attack_efficiency(a, b)
-
-    def test_mismatched_graph_rejected(self):
-        a = SearchInstance(cycle(8), frozenset({0}), 4)
-        b = SearchInstance(cycle(6), frozenset({0}), 4)
-        with pytest.raises(ValueError, match="graph"):
-            attack_efficiency(a, b)
-
-    def test_formula_equivalence(self):
-        # 1 - T_base/T_attacked equals 1 - p_att/p_base at the common time
-        g = connected_sample("er", 60, 3)
-        anchor = next(v for v in range(g.n) if find_2ec(g, v))
-        ec = find_2ec(g, anchor)[0]
-        inst = SearchInstance(g, frozenset({anchor}), 7)
-        attacked = apply_attack(inst, ec)
-        eff = attack_efficiency(inst, attacked)
-        p_b = instance_probability(inst)
-        p_a = instance_probability(attacked)
-        T_b = expected_runtime(inst.t, p_b)
-        T_a = expected_runtime(attacked.t, p_a)
-        assert eff == pytest.approx(1 - p_a / p_b, abs=1e-12)
-        if math.isfinite(T_a):
-            assert eff == pytest.approx(1 - T_b / T_a, abs=1e-12)
-
-    def test_strong_efficiency_of_identity_at_optimum_is_zero(self):
-        g = connected_sample("ba", 60, 5)
-        t_pen = default_t_pen(g.n)
-        opt = optimize_measurement_time(g, [2], t_pen=t_pen)
-        inst = SearchInstance(g, frozenset({2}), opt.t_opt)
-        assert strong_attack_efficiency(inst, {2}, t_pen) == pytest.approx(0.0, abs=1e-12)
-
-    def test_strong_efficiency_of_identity_never_positive(self):
-        g = connected_sample("er", 50, 8)
-        inst = SearchInstance(g, frozenset({1}), 2)  # deliberately suboptimal t
-        assert strong_attack_efficiency(inst, {1}, t_pen=4) <= 0.0
-
-    @pytest.mark.slow
-    def test_ws_attack_efficiency_sanity(self):
-        # moderate-scale smoke check of the large-n suppression behavior
-        effs = []
-        for seed in range(4):
-            g = connected_sample("ws", 300, 40 * seed)
-            rng = np.random.default_rng(seed)
-            ec = None
-            for _ in range(g.n):
-                v = int(rng.integers(g.n))
-                cands = find_2ec(g, v)
-                if cands:
-                    ec = cands[int(rng.integers(len(cands)))]
-                    break
-            report = evaluate_attack(g, {ec.anchor}, ec, default_t_pen(g.n))
-            effs.append(report.eff)
-        assert np.median(effs) > 0.5
-
-
 class TestEvaluateAttack:
     def test_report_fields_are_consistent(self):
         g = connected_sample("er", 80, 11)
@@ -271,6 +195,24 @@ class TestEvaluateAttack:
         assert report.p_attacked == pytest.approx(
             probability_at(g, attacked_marked, report.t_base), abs=1e-14
         )
+
+    @pytest.mark.slow
+    def test_ws_attack_efficiency_sanity(self):
+        # moderate-scale smoke check of the large-n suppression behavior
+        effs = []
+        for seed in range(4):
+            g = connected_sample("ws", 300, 40 * seed)
+            rng = np.random.default_rng(seed)
+            ec = None
+            for _ in range(g.n):
+                v = int(rng.integers(g.n))
+                cands = find_2ec(g, v)
+                if cands:
+                    ec = cands[int(rng.integers(len(cands)))]
+                    break
+            report = evaluate_attack(g, {ec.anchor}, ec, default_t_pen(g.n))
+            effs.append(report.eff)
+        assert np.median(effs) > 0.5
 
 
 class TestProbabilityAt:

@@ -1,3 +1,5 @@
+import pytest
+
 from _oracles import cycle, star
 from qwattack.cli import cli_main
 from qwattack.graphs import read_edge_list, write_edge_list
@@ -147,6 +149,25 @@ class TestConfigFile:
         assert code == 1
         assert "key=value" in err
 
+    def test_in_is_the_config_key_of_in(self, tmp_path, capsys):
+        path = tmp_path / "c8.edges"
+        write_edge_list(cycle(8), path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"in={path}\nvertex=3\n")
+        code, out, _ = run_cli(["scan-ec", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert out.splitlines()[1:] == ["3,2ec_path,2;3", "3,2ec_path,3;4"]
+
+    @pytest.mark.parametrize("command,key", [("fig1", "sample"), ("scan-ec", "infile"), ("generate", "config")])
+    def test_unknown_config_key_rejected(self, tmp_path, capsys, command, key):
+        out = tmp_path / "x.csv"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}=2\nout={out}\n")
+        code, _, err = run_cli([command, "--config", str(cfg)], capsys)
+        assert code == 1
+        assert f"unknown config keys ['{key}']" in err
+        assert not out.exists()
+
 
 class TestFigureCommands:
     def test_fig1_byte_identical_reruns_and_worker_independence(self, tmp_path, capsys):
@@ -197,6 +218,30 @@ class TestFigureCommands:
         )
         assert code == 0
         assert len(out.read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("command", ["fig1", "fig2", "fig3"])
+    def test_model_flags_are_accepted(self, tmp_path, capsys, command):
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            [command, "--model", "ws", "--n-grid", "20:40:10", "--samples", "1", "--seed", "1",
+             "--k", "4", "--beta", "0.2", "--m0", "2", "--p", "0.5", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0, err
+
+    def test_model_flag_matches_config_value(self, tmp_path, capsys):
+        # p = 1 makes every draw complete, so every vertex has a 2EC
+        flag_out, cfg_out = tmp_path / "flag.csv", tmp_path / "cfg.csv"
+        common = ["fig1", "--model", "er", "--n", "20", "--samples", "5", "--seed", "2"]
+        code, _, _ = run_cli([*common, "--p", "1.0", "--out", str(flag_out)], capsys)
+        assert code == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("p=1.0\n")
+        code, _, _ = run_cli([*common, "--config", str(cfg), "--out", str(cfg_out)], capsys)
+        assert code == 0
+        assert flag_out.read_bytes() == cfg_out.read_bytes()
+        order2 = [line for line in flag_out.read_text().splitlines() if ",order2," in line]
+        assert order2 == ["er,20,order2,1.0,0.5655175352168251,1.0,5,2,0"]
 
     def test_conflicting_grid_flags(self, tmp_path, capsys):
         code, _, err = run_cli(

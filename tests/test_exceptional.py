@@ -19,13 +19,12 @@ from _oracles import (
 from qwattack.exceptional import (
     ECKind,
     ExceptionalConfiguration,
-    ec_formation_probability,
     find_2ec,
     find_3ec,
     find_ec_within_distance,
     is_exceptional,
-    wilson_interval,
 )
+from qwattack.experiments import ec_formation_probability, wilson_interval
 from qwattack.graphs import Graph, ModelParams, gen_erdos_renyi
 
 

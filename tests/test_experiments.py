@@ -233,6 +233,12 @@ class TestReadFig2Csv:
         with pytest.raises(Fig2CsvParseError, match=r"line 1: unknown columns \['extra'\]"):
             self.read(tmp_path, self.HEADER + ",extra", self.ROW + ",1")
 
+    @pytest.mark.parametrize("column,value", [("t_base", "999"), ("seed", "7"), ("anchor", "5"), ("model", "ba")])
+    def test_duplicate_column_rejected(self, tmp_path, column, value):
+        # a second copy of the column would otherwise silently win
+        with pytest.raises(Fig2CsvParseError, match=rf"line 1: duplicate columns \['{column}'\]"):
+            self.read(tmp_path, f"{self.HEADER},{column}", f"{self.ROW},{value}")
+
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(Fig2CsvParseError, match="line 1: missing columns"):
             self.read(tmp_path)

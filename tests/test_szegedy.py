@@ -18,8 +18,9 @@ from _oracles import (
     max_marked_first_mass,
     plus_one_eigenspace,
     star,
+    stationary_witness,
 )
-from qwattack.exceptional import find_2ec
+from qwattack.exceptional import find_2ec, find_ec_within_distance, is_exceptional
 from qwattack.graphs import Graph, ModelParams, generate_graph, gen_watts_strogatz
 from qwattack.graphs import derive_seed, is_connected
 from qwattack.szegedy import (
@@ -401,22 +402,38 @@ class TestStationaryWitness:
         assert np.max(np.abs(out.amps - amps)) < 1e-12
 
 
+# a consistent witness system solves to ~1e-13; an inconsistent one misses by >= 1/3
+WITNESS_TOL = 1e-9
+
+
+def assert_step_fixes(g, marked, space, amps):
+    amps = amps / np.linalg.norm(amps)
+    out = WalkOperator(uniform_stochastic(g), marked, space=space).apply(WalkState(space, amps.copy()))
+    assert np.max(np.abs(out.amps - amps)) <= 1e-12
+
+
 class TestScaledStationaryWitness:
-    """The degree-sum stationary state of a marked 2EC, checked on the sparse engine.
+    """The degree-sum stationary state of a marked EC, checked on the sparse engine.
 
     For an adjacent pair {u, v} of equal degree d, the vector that is 1 on
     every arc, -(d - 1) on the arcs (u, v) and (v, u), and 0 on self-pairs
     is a +1 eigenvector of the search step with S = {u, v} (Prusis, Vihrovs
-    and Wong, PRA 94, 032334, 2016).
+    and Wong, PRA 94, 032334, 2016). For every kind, _oracles.stationary_witness
+    solves the same construction from the degree sums inside the EC.
     """
+
+    @staticmethod
+    def draw(model, n):
+        for attempt in range(50):
+            g = generate_graph(ModelParams(model=model), n, seed=derive_seed(7, n, attempt))
+            if is_connected(g):
+                return g
+        raise RuntimeError(f"no connected {model} draw of order {n}")
 
     @pytest.mark.parametrize("model", ["er", "ws", "ba"])
     @pytest.mark.parametrize("n", [800, 2400])
     def test_search_step_fixes_witness(self, model, n):
-        for attempt in range(50):
-            g = generate_graph(ModelParams(model=model), n, seed=derive_seed(7, n, attempt))
-            if is_connected(g):
-                break
+        g = self.draw(model, n)
         u, v = next(ecs[0].vertices for w in range(n) if (ecs := find_2ec(g, w)))
         d = g.degree(u)
         chain = uniform_stochastic(g)
@@ -426,6 +443,50 @@ class TestScaledStationaryWitness:
         amps /= np.linalg.norm(amps)
         out = WalkOperator(chain, [u, v], space=space).apply(WalkState(space, amps.copy()))
         assert np.max(np.abs(out.amps - amps)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["2ec_path", "3ec_triangle", "3ec_path"])
+    @pytest.mark.parametrize("model", ["er", "ws", "ba"])
+    @pytest.mark.parametrize("n", [800, 2400])
+    def test_search_step_fixes_solved_witness(self, model, n, kind):
+        g = self.draw(model, n)
+        ec = next((ec for w in range(n) for ec in find_ec_within_distance(g, w) if ec.kind == kind), None)
+        assert ec is not None, f"no {kind} in the {model} draw of order {n}"
+        for v in ec.vertices:  # each member lists the EC, whichever its role in it
+            assert any(e.vertices == ec.vertices for e in find_ec_within_distance(g, v))
+        assert is_exceptional(g, ec.vertices)
+        space = PairSpace.from_graph(g)
+        amps, residual = stationary_witness(g, ec.vertices, space)
+        assert residual <= WITNESS_TOL
+        assert_step_fixes(g, ec.vertices, space, amps)
+
+
+class TestWitnessPredicate:
+    @given(
+        model=st.sampled_from(["er", "ws", "ba"]),
+        n=st.integers(8, 30),
+        seed=st.integers(0, 10_000),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_witness_exists_exactly_for_exceptional_sets(self, model, n, seed, data):
+        # a connected H of 2-5 vertices, grown one neighbor at a time
+        g = generate_graph(ModelParams(model=model), n, seed=seed)
+        assume(is_connected(g))
+        H = [data.draw(st.integers(0, n - 1), label="start")]
+        size = data.draw(st.integers(2, 5), label="size")
+        while len(H) < size:
+            frontier = sorted({int(w) for v in H for w in g.neighbors(v)} - set(H))
+            H.append(data.draw(st.sampled_from(frontier), label="grow"))
+        space = PairSpace.from_graph(g)
+        amps, residual = stationary_witness(g, H, space)
+        consistent = residual <= WITNESS_TOL
+        assert is_exceptional(g, H) == consistent
+        if size <= 3:  # the enumerators list H from each member exactly when it is exceptional
+            for v in H:
+                listed = {ec.vertices for ec in find_ec_within_distance(g, v, orders=(size,))}
+                assert (tuple(sorted(H)) in listed) == consistent
+        if consistent:
+            assert_step_fixes(g, H, space, amps)
 
 
 class TestRelabelInvariance:
