@@ -94,6 +94,51 @@ def dense_trace(graph: Graph, marked, t_max: int) -> np.ndarray:
     return out
 
 
+# ------------------------------------------------------------ per-arc walk
+
+def arc_trace(graph: Graph, marked, steps: int) -> np.ndarray:
+    """p(0..steps) of the search walk R2 Q2 R1 Q1, stepped arc by arc on a dict state.
+
+    The state maps each arc (v, w) to its amplitude. phi_v(w) = sqrt(P(w, v))
+    = sqrt(1/deg v) is the column profile of the uniform chain, R1 reflects
+    each first-vertex block about phi_v, Q1 negates arcs leaving a marked
+    vertex, and R2 = Swap R1 Swap, Q2 = Swap Q1 Swap. Pure Python, so it
+    scales to a few hundred vertices where the dense oracle cannot.
+    """
+    n = graph.n
+    marked = {int(v) for v in marked}
+    nbrs = {v: [int(w) for w in graph.neighbors(v)] for v in range(n)}
+    phi = {(v, w): (1.0 / len(nbrs[v])) ** 0.5 for v in range(n) for w in nbrs[v]}
+
+    def swap(state):
+        return {(w, v): a for (v, w), a in state.items()}
+
+    def q1(state):
+        return {(v, w): -a if v in marked else a for (v, w), a in state.items()}
+
+    def r1(state):
+        out = {}
+        for v in range(n):
+            overlap = sum(phi[v, w] * state[v, w] for w in nbrs[v])
+            for w in nbrs[v]:
+                out[v, w] = 2.0 * overlap * phi[v, w] - state[v, w]
+        return out
+
+    def r2(state):
+        return swap(r1(swap(state)))
+
+    def q2(state):
+        return swap(q1(swap(state)))
+
+    state = {arc: p / n**0.5 for arc, p in phi.items()}
+    out = np.empty(steps + 1)
+    for t in range(steps + 1):
+        if t:
+            state = r2(q2(r1(q1(state))))
+        out[t] = sum(a * a for (v, _), a in state.items() if v in marked)
+    return out
+
+
 def plus_one_eigenspace(W: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Orthonormal basis of ker(W - I) via SVD (columns span the eigenspace)."""
     u, s, vt = np.linalg.svd(W - np.eye(W.shape[0]))

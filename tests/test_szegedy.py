@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    arc_trace,
     complete,
     cycle,
     dense_initial,
@@ -160,6 +161,20 @@ class TestWalkAgainstDenseOracle:
             lifted = np.zeros(g.n * g.n)
             lifted[space.first * g.n + space.second] = state.amps
             assert np.max(np.abs(lifted - vec)) < 1e-10
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("model,n", [("er", 300), ("ws", 300), ("ba", 300)])
+    def test_matches_per_arc_oracle_100_steps(self, model, n):
+        # the literal dict-state walk at sizes the dense oracle cannot reach,
+        # marking one vertex and then a 2EC that suppresses the search
+        g = next(
+            c for a in range(50)
+            if is_connected(c := generate_graph(ModelParams(model=model), n, seed=derive_seed(11, n, a)))
+        )
+        ec = next(ecs[0].vertices for w in range(n) if (ecs := find_2ec(g, w)))
+        for marked in ([0], list(ec)):
+            sparse = probability_trace(g, marked, 100)
+            assert np.max(np.abs(sparse - arc_trace(g, marked, 100))) <= 1e-12
 
     def test_k2_frozen_value(self):
         # dense oracle gives p(t) = 1/2 for every t on K2 with S={0}
