@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "fig1":
             p.add_argument("--t-pen", type=int, dest="t_pen", help="penalty steps (default ceil(ln n))")
         if name == "fig3":
-            p.add_argument("--in", help="existing fig2 CSV to regress instead of re-running")
+            p.add_argument("--in", help="existing fig2 CSV to regress instead of running a sweep")
             p.add_argument("--samples-out", dest="samples_out", help="also write the underlying fig2 CSV here")
         _add_model_flags(p)
         _add_common(p)
@@ -291,11 +291,24 @@ def _cmd_fig2(opts: _Options) -> int:
     return 0
 
 
+# the options that shape a sweep, which fig3 --in does not run
+_SWEEP_OPTIONS = ("n", "n-grid", "samples", "t-pen", "workers", "seed", "p", "k", "beta", "m0")
+
+
 def _cmd_fig3(opts: _Options) -> int:
-    config = _experiment_config("fig3", opts)
     infile = opts.get("in")
-    reports = read_fig2_csv(infile) if infile else None
-    labeled, reports = run_fig3(config, reports)
+    if infile is None:
+        labeled, reports = run_fig3(_experiment_config("fig3", opts))
+    else:
+        given = [f"--{name}" for name in _SWEEP_OPTIONS if opts.get(name) is not None]
+        if given:
+            raise ValueError(f"--in regresses {infile} and runs no sweep; drop {', '.join(given)}")
+        reports = read_fig2_csv(infile)
+        present = tuple(m for m in MODELS if any(r.model == m for r in reports))
+        if not present:
+            raise ValueError(f"{infile} has no rows of the models {', '.join(MODELS)}")
+        models = opts.get("model", present, _parse_models)
+        labeled, reports = run_fig3(ExperimentConfig("fig3", models=models), reports)
     out = opts.require("out")
     write_fig3_csv(labeled, out)
     samples_out = opts.get("samples-out")

@@ -329,12 +329,16 @@ def regress_reports(reports: Sequence[AttackReport], models: Sequence[str]) -> l
 
     Returns two results per model: variant order (ref, attacked), fitting
     per-n geometric means of T_base and of T_attacked at the common time.
+    A fit that fails raises ValueError naming its model and variant.
     """
     out = []
     for model in models:
         rows = [r for r in reports if r.model == model]
-        out.append(fit_loglog(*_per_n_geometric_means((r.n, r.T_base) for r in rows)))
-        out.append(fit_loglog(*_per_n_geometric_means((r.n, r.T_attacked) for r in rows)))
+        for variant, field in (("ref", "T_base"), ("attacked", "T_attacked")):
+            try:
+                out.append(fit_loglog(*_per_n_geometric_means((r.n, getattr(r, field)) for r in rows)))
+            except ValueError as exc:
+                raise ValueError(f"{model} {variant}: {exc}") from None
     return out
 
 

@@ -1,16 +1,16 @@
-"""Szegedy search walk on the ordered-pair space of a graph.
+"""Szegedy search walk on the arcs of a graph.
 
-The walk state lives on ordered vertex pairs (v, w) and all amplitudes are
-real. One search step applies the two reflections of the quantized uniform
-chain P(w, v) = 1/deg(v), each composed with a phase oracle that negates
-marked components:
+Under the uniform chain P(w, v) = 1/deg(v) only the arcs (v, w), w ~ v, of
+the ordered-pair space carry amplitude, so the real walk state lives on the
+graph's 2|E| CSR arcs. One search step applies the two reflections of the
+quantized chain, each composed with a phase oracle that negates marked arcs:
 
     step = R2 Q2 R1 Q1
 
 where R1 = 2 sum_v |v, phi_v><v, phi_v| - I with phi_v(w) = sqrt(P(w, v))
-built from the UNMODIFIED chain P, R2 = Swap R1 Swap, Q1 negates pairs whose
-first register is marked, and Q2 = Swap Q1 Swap. Restricted to first-register
-blocks this is the Grover diffusion coin at unmarked vertices and its
+built from the UNMODIFIED chain P, R2 = Swap R1 Swap, Q1 negates the arcs
+leaving a marked vertex, and Q2 = Swap Q1 Swap. On the arcs leaving one
+vertex this is the Grover diffusion coin at unmarked vertices and its
 negation at marked ones, the walk for which marked subgraphs with the
 degree-sum property admit stationary states that suppress the search. With
 an empty marked set the step reduces to the plain quantized walk R2 R1.
@@ -58,60 +58,46 @@ def uniform_stochastic(graph: Graph) -> StochasticMatrix:
 
 
 class PairSpace:
-    """Sparse basis of ordered pairs (v, w), closed under register swap.
+    """The arcs (v, w) of a graph: a read-only view of its CSR neighbor rows.
 
-    Pairs are kept sorted by flat key v*n + w; `first` and `second` give the
-    registers of each basis element and `swap_index` the position of the
-    transposed pair.
+    Arc k runs from first[k] to second[k], the graph's indices array; vertex
+    v's arcs are k in [indptr[v], indptr[v + 1]), sorted by (first, second).
     """
 
-    __slots__ = ("n", "first", "second", "swap_index", "_keys")
+    __slots__ = ("n", "indptr", "first", "second")
 
-    def __init__(self, n: int, keys: np.ndarray):
-        keys = np.sort(np.asarray(keys, dtype=np.int64))
-        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if keys.size else keys
-        first = keys // n
-        second = keys % n
-        # the keys are distinct, so closure under swap means the transposed
-        # keys sort back into the keys; their sort order then inverts to the
-        # position of each pair's transpose
-        swapped = second * n + first
-        order = np.argsort(swapped)
-        if not np.array_equal(swapped[order], keys):
-            raise ValueError("pair support is not closed under swap")
-        pos = np.empty_like(order)
-        pos[order] = np.arange(keys.size)
+    def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray):
         self.n = n
-        self._keys = keys
-        self.first = first
-        self.second = second
-        self.swap_index = pos
-        for a in (self._keys, self.first, self.second, self.swap_index):
-            a.flags.writeable = False
+        self.indptr = indptr
+        self.first = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        self.first.flags.writeable = False
+        self.second = indices
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "PairSpace":
-        """Directed edge pairs of the graph plus every self-pair (v, v)."""
-        return _arc_space(graph.n, graph.indptr, graph.indices)
+        """The graph's arcs, both orientations of every edge."""
+        return cls(graph.n, graph.indptr, graph.indices)
 
     @property
     def size(self) -> int:
-        return self._keys.size
+        return self.second.size
 
     def index_of(self, first, second) -> np.ndarray:
-        """Positions of the pairs (first, second); raises if any is absent."""
-        q = np.asarray(first, dtype=np.int64) * self.n + np.asarray(second, dtype=np.int64)
-        pos = np.searchsorted(self._keys, q)
-        bad = (pos >= self._keys.size) | (self._keys[np.minimum(pos, self._keys.size - 1)] != q)
-        if np.any(bad):
-            missing = np.atleast_1d(q)[np.atleast_1d(bad)][0]
-            raise KeyError(f"pair ({missing // self.n}, {missing % self.n}) not in pair space")
+        """Positions of the arcs (first, second); raises KeyError if any is absent."""
+        pos = np.empty(np.broadcast(first, second).shape, dtype=np.int64)
+        for i, (v, w) in enumerate(np.broadcast(first, second)):
+            lo, hi = (self.indptr[v], self.indptr[v + 1]) if 0 <= v < self.n else (0, 0)
+            k = lo + int(self.second[lo:hi].searchsorted(w))
+            if k == hi or self.second[k] != w:
+                raise KeyError(f"arc ({v}, {w}) not in pair space")
+            pos.flat[i] = k
         return pos
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PairSpace):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self._keys, other._keys)
+        same = self.n == other.n and np.array_equal(self.indptr, other.indptr)
+        return same and np.array_equal(self.second, other.second)
 
     def __repr__(self) -> str:
         return f"PairSpace(n={self.n}, size={self.size})"
@@ -157,31 +143,24 @@ class WalkState:
         return f"WalkState(n={self.space.n}, size={self.space.size}, norm={self.norm():.6f})"
 
 
-def _arc_space(n: int, indptr: np.ndarray, indices: np.ndarray) -> PairSpace:
-    """The arcs (v, w) of the CSR neighbor rows plus every self-pair (v, v)."""
-    firsts = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    selfs = np.arange(n, dtype=np.int64) * (n + 1)
-    return PairSpace(n, np.concatenate([firsts * n + indices, selfs]))
+def _chain_space(chain: StochasticMatrix, space: Optional[PairSpace]) -> PairSpace:
+    """The chain's arc space: `space` once it is checked to be that space, or a new one."""
+    arcs = PairSpace(chain.n, chain.indptr, chain.indices)
+    if space is not None and space != arcs:
+        raise ValueError(f"{space} is not the arc space of the chain on {chain.n} vertices")
+    return arcs if space is None else space
 
 
-def _scatter_sqrt_columns(space: PairSpace, chain: StochasticMatrix) -> np.ndarray:
-    """Vector a with a[(v, w)] = sqrt(chain(w, v)) over the pair space."""
-    cols = np.repeat(np.arange(chain.n, dtype=np.int64), np.diff(chain.indptr))
-    out = np.zeros(space.size)
-    out[space.index_of(cols, chain.indices)] = np.sqrt(chain.weights)
-    return out
-
-
-def _marked_pairs(space: PairSpace, marked: Iterable[int]) -> np.ndarray:
-    """Positions of the pairs whose first register is marked, ascending."""
-    flags = np.zeros(space.n, dtype=bool)
+def _marked_arcs(ends: np.ndarray, n: int, marked: Iterable[int]) -> np.ndarray:
+    """Positions of the arcs whose `ends` vertex is marked, ascending."""
+    flags = np.zeros(n, dtype=bool)
     flags[[int(v) for v in marked]] = True
-    return np.flatnonzero(flags[space.first])
+    return np.flatnonzero(flags[ends])
 
 
-def _probability(amps: np.ndarray, marked_pairs: np.ndarray) -> float:
-    """Squared norm on the marked pairs, clamped to 1.0 against float dust."""
-    sel = amps[marked_pairs]
+def _probability(amps: np.ndarray, marked_arcs: np.ndarray) -> float:
+    """Squared norm on the marked arcs, clamped to 1.0 against float dust."""
+    sel = amps[marked_arcs]
     return min(float(np.dot(sel, sel)), 1.0)
 
 
@@ -190,36 +169,28 @@ class WalkOperator:
 
     Holds the quantized chain P and the marked set S. reflect_first and
     reflect_second expose the bare reflections R1 and R2 = Swap R1 Swap
-    (each an involution); apply performs R2 Q2 R1 Q1, the search step whose
-    marked-block action is the negated Grover coin.
+    (each an involution); apply performs the search step R2 Q2 R1 Q1.
 
     R2 Q2 = Swap R1 Q1 Swap is applied without permuting the state: R2
-    reflects over second-register blocks with the profile read through the
-    swap, and Q2 negates the pairs whose second register is marked. Pairs
-    are sorted by (first, second), so a second-register block lists its
-    pairs in the order of their transposes' first-register block, and each
-    block sum adds the same terms in the same order as the permuted form.
-    An operator steps through two scratch vectors of its own, so one
-    operator must not step states from two threads at once.
+    reflects the arcs entering each vertex w about sqrt(1/deg w), and Q2
+    negates the arcs entering a marked vertex. The arcs are sorted by
+    (first, second), so each of those block sums adds the same terms in the
+    same order as the permuted form. An operator steps through scratch
+    vectors of its own, so it must not step states from two threads at once.
     """
 
     def __init__(
         self, chain: StochasticMatrix, marked: Iterable[int] = (), space: Optional[PairSpace] = None
     ):
-        if space is None:
-            space = _arc_space(chain.n, chain.indptr, chain.indices)
-        elif space.n != chain.n:
-            raise ValueError(f"pair space is on {space.n} vertices, chain on {chain.n}")
-        marked = {int(v) for v in marked}
-        if not all(0 <= v < chain.n for v in marked):
-            raise ValueError(f"marked set {sorted(marked)} out of range for n={chain.n}")
         self.chain = chain
-        self.marked = frozenset(marked)
-        self.space = space
-        self._profile = _scatter_sqrt_columns(space, chain)  # raises if space lacks support
-        self._marked_pairs = _marked_pairs(space, marked)
-        self._swapped_profile = self._profile[space.swap_index]
-        self._swapped_marked_pairs = space.swap_index[self._marked_pairs]
+        self.marked = frozenset(int(v) for v in marked)
+        if not all(0 <= v < chain.n for v in self.marked):
+            raise ValueError(f"marked set {sorted(self.marked)} out of range for n={chain.n}")
+        self.space = space = _chain_space(chain, space)
+        self._profile = np.sqrt(chain.weights)
+        self._marked_arcs = _marked_arcs(space.first, chain.n, self.marked)
+        self._swapped_profile = np.sqrt(1.0 / np.diff(chain.indptr))[space.second]
+        self._swapped_marked_arcs = _marked_arcs(space.second, chain.n, self.marked)
         self._after_q1 = np.empty(space.size)
         self._after_r1 = np.empty(space.size)
 
@@ -230,7 +201,7 @@ class WalkOperator:
     def _reflect(
         self, amps: np.ndarray, blocks: np.ndarray, profile: np.ndarray, out: np.ndarray
     ) -> np.ndarray:
-        """Write 2 |profile><profile| - I on each block of pairs sharing a `blocks` value.
+        """Write 2 |profile><profile| - I on each block of arcs sharing a `blocks` value.
 
         `out` receives the result and must not alias `amps`.
         """
@@ -261,11 +232,10 @@ class WalkOperator:
         self._check_space(state)
         q1 = self._after_q1
         np.copyto(q1, state.amps)
-        q1[self._marked_pairs] *= -1.0
+        q1[self._marked_arcs] *= -1.0
         r1 = self._reflect(q1, self.space.first, self._profile, self._after_r1)
-        r1[self._swapped_marked_pairs] *= -1.0  # Q2, read through the swap
-        out = np.empty(self.space.size)
-        amps = self._reflect(r1, self.space.second, self._swapped_profile, out)
+        r1[self._swapped_marked_arcs] *= -1.0  # Q2, read through the swap
+        amps = self._reflect(r1, self.space.second, self._swapped_profile, np.empty(r1.size))
         norm_in = state.norm()
         norm_out = float(np.linalg.norm(amps))
         if abs(norm_out - norm_in) > NORM_DRIFT_LIMIT * max(1.0, norm_in):
@@ -281,27 +251,25 @@ class WalkOperator:
         that stops after p(t) has walked exactly t steps.
         """
         while True:
-            yield _probability(state.amps, self._marked_pairs)
+            yield _probability(state.amps, self._marked_arcs)
             state = self.apply(state)
 
 
 def initial_state(chain: StochasticMatrix, space: Optional[PairSpace] = None) -> WalkState:
     """Uniform superposition of column profiles: amp(v, w) = sqrt(P(w, v)) / sqrt(n).
 
-    The first-register marginal is exactly uniform, so any marked set S
+    The first-vertex marginal is exactly uniform, so any marked set S
     starts at success probability |S|/n.
     """
-    if space is None:
-        space = _arc_space(chain.n, chain.indptr, chain.indices)
-    return WalkState(space, _scatter_sqrt_columns(space, chain) / math.sqrt(chain.n))
+    return WalkState(_chain_space(chain, space), np.sqrt(chain.weights) / math.sqrt(chain.n))
 
 
 def success_probability(state: WalkState, marked: Iterable[int]) -> float:
-    """Probability that measuring the first register lands in the marked set.
+    """Probability that measuring the first vertex of the arc lands in the marked set.
 
     Clamped to 1.0: a unit state's marked mass can overshoot by float dust.
     """
-    return _probability(state.amps, _marked_pairs(state.space, marked))
+    return _probability(state.amps, _marked_arcs(state.space.first, state.space.n, marked))
 
 
 class SearchStart(NamedTuple):
@@ -313,10 +281,9 @@ class SearchStart(NamedTuple):
 
 
 def search_start(graph: Graph) -> SearchStart:
-    """The graph's uniform chain, its pair space and the start state.
+    """The graph's uniform chain, its arc space and the start state.
 
-    Every search walk here runs on its graph's uniform chain. Build this once
-    per graph and pass it to a WalkOperator per marked set.
+    Build this once per graph and pass it to a WalkOperator per marked set.
     """
     chain = uniform_stochastic(graph)
     space = PairSpace.from_graph(graph)
@@ -326,9 +293,7 @@ def search_start(graph: Graph) -> SearchStart:
 def probability_trace(graph: Graph, marked: Iterable[int], t_max: int) -> np.ndarray:
     """Success probabilities p(0..t_max) of the search walk for the marked set.
 
-    Builds the search step from the graph's uniform chain with the
-    marked-set oracles and starts from the uniform column superposition,
-    so p(0) = |S|/n.
+    The walk starts from the uniform column superposition, so p(0) = |S|/n.
     """
     if t_max < 0:
         raise ValueError(f"t_max must be nonnegative, got {t_max}")

@@ -309,7 +309,7 @@ def brute_force_ecs(graph: Graph, v: int) -> set:
 def stationary_witness(graph: Graph, H, space) -> tuple[np.ndarray, float]:
     """Candidate +1 eigenvector of the search step marking H, and its residual.
 
-    On `space`'s pairs, x is 1 on every arc not inside H and 0 on self-pairs.
+    On `space`'s arcs, x is 1 on every arc not inside H.
     On each edge {a, b} inside H it takes one symmetric value, solved by
     least squares from sum_{v' in H, v' ~ v} x(v, v') = h_v - d_v at every v
     in H (h_v: v's degree inside H, d_v: its degree in the graph). The
@@ -324,7 +324,7 @@ def stationary_witness(graph: Graph, H, space) -> tuple[np.ndarray, float]:
         A[row[a], e] = A[row[b], e] = 1.0
     rhs = A.sum(axis=1) - np.array([graph.degree(v) for v in verts], dtype=np.float64)
     x = np.linalg.lstsq(A, rhs, rcond=None)[0]
-    amps = np.where(space.first == space.second, 0.0, 1.0)
+    amps = np.ones(space.size)
     for e, (a, b) in enumerate(edges):
         amps[space.index_of([a, b], [b, a])] = x[e]
     return amps, float(np.max(np.abs(A @ x - rhs)))

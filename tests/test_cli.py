@@ -198,17 +198,62 @@ class TestFigureCommands:
         assert "fig2: 6 rows" in err
 
         fig3_out = tmp_path / "fig3.csv"
-        code, _, err = run_cli(
-            [
-                "fig3", "--model", "er", "--in", str(fig2_out), "--n-grid", "40:80:20",
-                "--samples", "2", "--seed", "3", "--out", str(fig3_out),
-            ],
-            capsys,
-        )
+        code, _, err = run_cli(["fig3", "--model", "er", "--in", str(fig2_out), "--out", str(fig3_out)], capsys)
         assert code == 0
         lines = fig3_out.read_text().splitlines()
         assert len(lines) == 3
         assert "alpha=" in err
+
+    @pytest.fixture(scope="class")
+    def ba_ws_csv(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fig2") / "fig2.csv"
+        argv = ["fig2", "--model", "ba,ws", "--n-grid", "40:80:20", "--samples", "2", "--seed", "3"]
+        assert cli_main([*argv, "--out", str(path)]) == 0
+        return path
+
+    def test_fig3_in_defaults_to_the_csv_models_in_model_order(self, tmp_path, capsys, ba_ws_csv):
+        out = tmp_path / "fig3.csv"
+        code, _, err = run_cli(["fig3", "--in", str(ba_ws_csv), "--out", str(out)], capsys)
+        assert code == 0, err
+        rows = [line.split(",")[:2] for line in out.read_text().splitlines()[1:]]
+        assert rows == [["ws", "ref"], ["ws", "attacked"], ["ba", "ref"], ["ba", "attacked"]]
+        assert "seed:" not in err
+
+    def test_fig3_in_names_a_model_the_csv_lacks(self, tmp_path, capsys, ba_ws_csv):
+        out = tmp_path / "fig3.csv"
+        code, _, err = run_cli(["fig3", "--in", str(ba_ws_csv), "--model", "er", "--out", str(out)], capsys)
+        assert code == 1
+        assert "er ref: regression needs at least 3 points, got 0" in err
+        assert not out.exists()
+        header_only = tmp_path / "empty.csv"
+        header_only.write_text(ba_ws_csv.read_text().splitlines()[0] + "\n")
+        code, _, err = run_cli(["fig3", "--in", str(header_only), "--out", str(out)], capsys)
+        assert code == 1
+        assert "has no rows of the models er, ws, ba" in err
+        assert not out.exists()
+
+    def test_fig3_in_rejects_sweep_flags(self, tmp_path, capsys, ba_ws_csv):
+        out = tmp_path / "fig3.csv"
+        code, _, err = run_cli(
+            [
+                "fig3", "--in", str(ba_ws_csv), "--n-grid", "100:200:100", "--samples", "7",
+                "--workers", "3", "--seed", "5", "--m0", "2", "--out", str(out),
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert "drop --n-grid, --samples, --workers, --seed, --m0" in err
+        assert "seed:" not in err
+        assert not out.exists()
+
+    def test_fig3_in_rejects_sweep_config_keys(self, tmp_path, capsys, ba_ws_csv):
+        out = tmp_path / "fig3.csv"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"in={ba_ws_csv}\nn=100\nt-pen=4\np=0.5\n")
+        code, _, err = run_cli(["fig3", "--config", str(cfg), "--out", str(out)], capsys)
+        assert code == 1
+        assert "drop --n, --t-pen, --p" in err
+        assert not out.exists()
 
     def test_fig2_single_n_shorthand(self, tmp_path, capsys):
         out = tmp_path / "fig2.csv"

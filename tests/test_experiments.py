@@ -106,6 +106,15 @@ class TestRegression:
         assert ref.alpha == pytest.approx(0.5, abs=1e-12)
         assert attacked.alpha == pytest.approx(1.1, abs=1e-12)
 
+    def test_regress_reports_names_the_failing_fit(self):
+        reports = [make_report("er", n, 5, 2.0 * n ** 0.5, 0.1 * n) for n in (100, 200, 400, 800)]
+        with pytest.raises(ValueError, match=r"^ws ref: regression needs at least 3 points, got 0$"):
+            regress_reports(reports, ["er", "ws"])
+        # T_base fits on three orders, T_attacked is infinite at one of them
+        reports = reports[:2] + [make_report("er", 800, 5, 50.0, math.inf)]
+        with pytest.raises(ValueError, match=r"^er attacked: regression needs at least 3 points, got 2$"):
+            regress_reports(reports, ["er"])
+
     def test_infinite_runtimes_dropped(self):
         reports = [make_report("er", n, 5, 2.0 * n ** 0.5, 0.1 * n) for n in (100, 200, 400, 800)]
         inf_report = AttackReport(

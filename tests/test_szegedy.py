@@ -101,7 +101,7 @@ class TestInitialState:
         amp = {(int(f), int(sec)): a for f, sec, a in zip(space.first, space.second, s.amps)}
         assert amp[(0, 1)] == pytest.approx(1 / math.sqrt(2))
         assert amp[(1, 0)] == pytest.approx(1 / math.sqrt(2))
-        assert amp[(0, 0)] == 0.0 and amp[(1, 1)] == 0.0
+        assert space.size == 2
 
     @pytest.mark.parametrize("name_seed", [("er", 3), ("ws", 5), ("ba", 7)])
     def test_first_register_marginal_is_uniform(self, name_seed):
@@ -189,20 +189,27 @@ class TestWalkAgainstDenseOracle:
         assert np.allclose(trace, 0.25, atol=1e-10)
 
 
+PAW = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+
+
 class TestAllMarkedFixedPoint:
-    @pytest.mark.parametrize("graph", [complete(3), cycle(4), star(3), complete(6)])
+    @pytest.mark.parametrize("graph", [complete(3), cycle(4), star(3), complete(6), PAW])
     def test_absorbed_superposition_is_fixed(self, graph):
-        # S = V: the start state of the chain that absorbs every vertex,
-        # 1/sqrt(n) on each self-pair, is a fixed point
-        n = graph.n
+        # S = V: Q1 and Q2 negate every arc, so the step is R2 R1, which fixes
+        # the uniform arc state 1/sqrt(2m): it lies in the span of both profiles
         chain = uniform_stochastic(graph)
         space = PairSpace.from_graph(graph)
-        op = WalkOperator(chain, range(n), space=space)
-        amps = np.zeros(space.size)
-        amps[space.index_of(range(n), range(n))] = 1 / math.sqrt(n)
-        s = WalkState(space, amps)
+        op = WalkOperator(chain, range(graph.n), space=space)
+        s = WalkState(space, np.full(space.size, 1 / math.sqrt(2 * graph.num_edges)))
         out = op.apply(s)
         assert np.linalg.norm(out.amps - s.amps) <= 1e-10
+
+    def test_start_state_is_not_fixed_off_regular_graphs(self):
+        # on the paw the degrees differ, so sqrt(P(w, v)) / sqrt(n) is not uniform on arcs
+        chain = uniform_stochastic(PAW)
+        s = initial_state(chain)
+        out = WalkOperator(chain, range(PAW.n)).apply(s)
+        assert np.linalg.norm(out.amps - s.amps) > 0.1
 
 
 class TestUnitarityAndInvolutions:
@@ -317,7 +324,7 @@ class TestUnitarityAndInvolutions:
         assert abs(out.norm() - 1.0) < 1e-12
 
     def test_other_space_of_a_freed_equal_space_rejected(self):
-        # C6 and two triangles both have 18 pairs. Stepping a state on an
+        # C6 and two triangles both have 12 arcs. Stepping a state on an
         # equal copy of C6's space, then freeing that copy, must not let a
         # triangles space that CPython allocates at the copy's address (and
         # so under its id) through the space check.
@@ -333,9 +340,24 @@ class TestUnitarityAndInvolutions:
                 op.apply(WalkState(other, np.zeros(other.size)))
             del other
 
-    def test_pair_space_must_be_swap_closed(self):
-        with pytest.raises(ValueError, match="swap"):
-            PairSpace(3, np.array([0 * 3 + 1]))  # (0,1) without (1,0)
+    def test_operator_rejects_another_graphs_arc_space(self):
+        # same order and degrees, other arcs: C6 against two triangles
+        triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        chain = uniform_stochastic(cycle(6))
+        with pytest.raises(ValueError, match="not the arc space"):
+            WalkOperator(chain, [0], space=PairSpace.from_graph(triangles))
+        with pytest.raises(ValueError, match="not the arc space"):
+            initial_state(chain, space=PairSpace.from_graph(cycle(5)))
+
+    def test_arc_space_is_the_graph_csr(self):
+        space = PairSpace.from_graph(PAW)
+        assert space.size == 2 * PAW.num_edges
+        assert space.second is PAW.indices and space.indptr is PAW.indptr
+        assert space.first.tolist() == [0, 0, 1, 1, 2, 2, 2, 3]
+        assert space.index_of([2, 3, 0], [3, 2, 2]).tolist() == [6, 7, 1]
+        for f, s in ((0, 3), (1, 1), (4, 0), (-1, 0)):
+            with pytest.raises(KeyError, match="not in pair space"):
+                space.index_of(f, s)
 
 
 class TestSuccessProbability:
@@ -409,8 +431,6 @@ class TestStationaryWitness:
         amps = np.zeros(space.size)
         for k in range(space.size):
             f, s = int(space.first[k]), int(space.second[k])
-            if f == s:
-                continue
             amps[k] = -1.0 if {f, s} == {0, 1} else 1.0
         amps /= np.linalg.norm(amps)
         out = op.apply(WalkState(space, amps.copy()))
@@ -431,9 +451,9 @@ class TestScaledStationaryWitness:
     """The degree-sum stationary state of a marked EC, checked on the sparse engine.
 
     For an adjacent pair {u, v} of equal degree d, the vector that is 1 on
-    every arc, -(d - 1) on the arcs (u, v) and (v, u), and 0 on self-pairs
-    is a +1 eigenvector of the search step with S = {u, v} (Prusis, Vihrovs
-    and Wong, PRA 94, 032334, 2016). For every kind, _oracles.stationary_witness
+    every arc and -(d - 1) on the arcs (u, v) and (v, u) is a +1 eigenvector
+    of the search step with S = {u, v} (Prusis, Vihrovs and Wong, PRA 94,
+    032334, 2016). For every kind, _oracles.stationary_witness
     solves the same construction from the degree sums inside the EC.
     """
 
@@ -453,7 +473,7 @@ class TestScaledStationaryWitness:
         d = g.degree(u)
         chain = uniform_stochastic(g)
         space = PairSpace.from_graph(g)
-        amps = np.where(space.first == space.second, 0.0, 1.0)
+        amps = np.ones(space.size)
         amps[space.index_of([u, v], [v, u])] = -(d - 1.0)
         amps /= np.linalg.norm(amps)
         out = WalkOperator(chain, [u, v], space=space).apply(WalkState(space, amps.copy()))
