@@ -52,7 +52,6 @@ from .graphs import (
 from .szegedy import (
     NumericalStabilityError,
     PairSpace,
-    StochasticMatrix,
     WalkOperator,
     WalkState,
     initial_state,

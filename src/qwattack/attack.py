@@ -1,7 +1,8 @@
 """Search instances, expected runtime, attacks, and efficiency measures.
 
 A search instance fixes the graph, the marked set and the measurement time
-t; the walk is always the graph's uniform chain (szegedy.search_start). An
+t; the walk is always the graph's uniform chain, started from
+szegedy.initial_state(szegedy.uniform_stochastic(graph)). An
 attack replaces the marked set with a superset forming an exceptional
 configuration; it can never touch the engine, the graph, the walk, or t.
 Efficiency compares expected runtimes at the common t; strong efficiency
@@ -18,7 +19,7 @@ import numpy as np
 
 from .exceptional import ExceptionalConfiguration
 from .graphs import Graph
-from .szegedy import SearchStart, WalkOperator, search_start
+from .szegedy import WalkOperator, WalkState, initial_state, uniform_stochastic
 
 _MAX_OPT_STEPS = 10_000_000
 
@@ -69,19 +70,19 @@ def efficiency(p_base: float, p_attacked: float) -> float:
     return 1.0 - p_attacked / p_base
 
 
-def _probabilities(start: SearchStart, marked: Iterable[int]) -> Iterator[float]:
-    """p(0), p(1), ... of the search walk for the marked set, stepping lazily."""
-    return WalkOperator(start.chain, marked, space=start.space).probabilities(start.state)
+def _probabilities(start: WalkState, marked: Iterable[int]) -> Iterator[float]:
+    """p(0), p(1), ... of the search walk for the marked set from start, stepping lazily."""
+    return WalkOperator(start.space, marked).probabilities(start)
 
 
-def _probability_at(start: SearchStart, marked: Iterable[int], t: int) -> float:
+def _probability_at(start: WalkState, marked: Iterable[int], t: int) -> float:
     return next(islice(_probabilities(start, marked), t, None))
 
 
 def probability_at(graph: Graph, marked: Iterable[int], t: int) -> float:
     """Success probability after exactly t steps of the search walk."""
     inst = SearchInstance(graph, marked, t)  # validates the marked set and t
-    return _probability_at(search_start(graph), inst.marked, t)
+    return _probability_at(initial_state(uniform_stochastic(graph)), inst.marked, t)
 
 
 def apply_attack(inst: SearchInstance, ec: ExceptionalConfiguration) -> SearchInstance:
@@ -116,10 +117,10 @@ def optimize_measurement_time(
     """
     if t_pen < 0:
         raise ValueError(f"t_pen must be nonnegative, got {t_pen}")
-    return _optimize(search_start(graph), marked, t_pen)
+    return _optimize(initial_state(uniform_stochastic(graph)), marked, t_pen)
 
 
-def _optimize(start: SearchStart, marked: Iterable[int], t_pen: int) -> OptimizeResult:
+def _optimize(start: WalkState, marked: Iterable[int], t_pen: int) -> OptimizeResult:
     probs = _probabilities(start, marked)
     p = next(probs)
     if p <= 0.0:
@@ -207,10 +208,10 @@ def evaluate_attack(
     The base measurement time is the clean instance's optimal time under the
     same penalty; the attacked instance is measured at that same time, and
     the defender's re-optimized time and runtime complete the report. The
-    three walks share one chain, pair space and start state.
+    three walks share one chain and start state.
     """
     marked = frozenset(int(v) for v in marked)
-    start = search_start(graph)
+    start = initial_state(uniform_stochastic(graph))
     base_opt = _optimize(start, marked, t_pen)
     base = SearchInstance(graph, marked, base_opt.t_opt)
     attacked = apply_attack(base, ec)

@@ -25,6 +25,7 @@ from .graphs import (
     write_edge_list,
 )
 from .experiments import (
+    PANELS,
     ExperimentConfig,
     default_workers,
     expand_grid,
@@ -271,7 +272,7 @@ def _cmd_fig1(opts: _Options) -> int:
     rows = run_fig1(config)
     out = opts.require("out")
     write_fig1_csv(rows, out)
-    regens = sum(r.regens for r in rows) // max(1, len(config.panels))
+    regens = sum(r.regens for r in rows) // len(PANELS)
     print(f"fig1: {len(rows)} rows to {out} (graph regenerations: {regens})", file=sys.stderr)
     return 0
 

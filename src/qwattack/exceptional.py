@@ -136,21 +136,6 @@ def find_3ec(graph: Graph, v: int) -> list[ExceptionalConfiguration]:
     return found
 
 
-def _hop_distances(graph: Graph, v: int, radius: int) -> dict[int, int]:
-    dist = {v: 0}
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        if dist[u] >= radius:
-            continue
-        for w in graph.neighbors(u):
-            w = int(w)
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
-
-
 def find_ec_within_distance(
     graph: Graph,
     v: int,
@@ -161,6 +146,8 @@ def find_ec_within_distance(
 
     d=None means unrestricted, which for orders {2, 3} coincides with d=2
     since every enumerated configuration sits inside v's 2-neighborhood.
+    Output is order-2 configurations, then triangles, then paths, each group
+    ascending by vertex tuple, as find_2ec and find_3ec list them.
     """
     orders = {int(o) for o in orders}
     if not orders or not orders <= {2, 3}:
@@ -172,8 +159,7 @@ def find_ec_within_distance(
         found.extend(find_2ec(graph, v))
     if 3 in orders:
         found.extend(find_3ec(graph, v))
-    if d is not None:
-        dist = _hop_distances(graph, v, d)
-        found = [ec for ec in found if all(u in dist for u in ec.vertices)]
-    found.sort(key=lambda ec: (_KIND_RANK[ec.kind], ec.vertices))
+    if d == 1:
+        near = {v, *(int(w) for w in graph.neighbors(v))}
+        found = [ec for ec in found if near.issuperset(ec.vertices)]
     return found

@@ -72,7 +72,6 @@ class ExperimentConfig:
     t_pen: Optional[int] = None  # None applies the ceil(ln n) rule per n
     root_seed: int = 0
     workers: int = 1
-    panels: tuple[str, ...] = PANELS
     er_p: Optional[float] = None
     ws_k: Optional[int] = None
     ws_beta: float = 0.5
@@ -91,9 +90,6 @@ class ExperimentConfig:
         unknown = set(self.models) - set(MODELS)
         if unknown:
             raise ValueError(f"unknown models {sorted(unknown)}")
-        unknown = set(self.panels) - set(PANELS)
-        if unknown:
-            raise ValueError(f"unknown panels {sorted(unknown)}")
         if self.workers < 1:
             raise ValueError("workers must be positive")
 
@@ -229,18 +225,18 @@ def ec_formation_probability(
 
 
 def _fig1_cell(task) -> list[Fig1Row]:
-    """All requested panels for one (model, n), sharing the sampled draws."""
-    params, n, samples, root_seed, panels = task
-    specs = [_PANEL_SPEC[panel] for panel in panels]
+    """Every panel for one (model, n), sharing the sampled draws."""
+    params, n, samples, root_seed = task
+    specs = [_PANEL_SPEC[panel] for panel in PANELS]
     hits, regens = _formation_counts(params, n, specs, samples, root_seed, _MODEL_INDEX[params.model], n)
     return [Fig1Row(params.model, n, panel, h / samples, *wilson_interval(h, samples),
-                    samples, root_seed, regens) for panel, h in zip(panels, hits)]
+                    samples, root_seed, regens) for panel, h in zip(PANELS, hits)]
 
 
 def run_fig1(config: ExperimentConfig) -> list[Fig1Row]:
     """EC-formation probabilities per (model, n, panel)."""
     tasks = [
-        (config.model_params(model), n, config.samples_per_n, config.root_seed, config.panels)
+        (config.model_params(model), n, config.samples_per_n, config.root_seed)
         for model in config.models
         for n in config.n_grid
     ]

@@ -2,8 +2,10 @@
 
 Under the uniform chain P(w, v) = 1/deg(v) only the arcs (v, w), w ~ v, of
 the ordered-pair space carry amplitude, so the real walk state lives on the
-graph's 2|E| CSR arcs. One search step applies the two reflections of the
-quantized chain, each composed with a phase oracle that negates marked arcs:
+graph's 2|E| CSR arcs. PairSpace is both that arc space and the chain: arc
+(v, w) carries the weight P(w, v). One search step applies the two
+reflections of the quantized chain, each composed with a phase oracle that
+negates marked arcs:
 
     step = R2 Q2 R1 Q1
 
@@ -17,9 +19,8 @@ an empty marked set the step reduces to the plain quantized walk R2 R1.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -32,51 +33,32 @@ class NumericalStabilityError(ArithmeticError):
     """Norm drift exceeded the stability budget during evolution."""
 
 
-@dataclass(frozen=True, eq=False)
-class StochasticMatrix:
-    """Uniform walk chain of a graph in compressed columns, built by uniform_stochastic.
-
-    Column v puts weight weights[k] = 1/deg(v) on each neighbor indices[k],
-    k in [indptr[v], indptr[v + 1]); indptr and indices are the graph's own
-    read-only arrays, and weights is read-only too.
-    """
-
-    n: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    weights: np.ndarray
-
-
-def uniform_stochastic(graph: Graph) -> StochasticMatrix:
-    """Uniform walk chain: column v puts weight 1/deg(v) on each neighbor of v."""
-    isolated = np.flatnonzero(graph.degrees == 0)
-    if isolated.size:
-        raise ValueError(f"vertex {isolated[0]} is isolated; the uniform chain is undefined")
-    weights = np.repeat(1.0 / graph.degrees, graph.degrees)
-    weights.flags.writeable = False
-    return StochasticMatrix(graph.n, graph.indptr, graph.indices, weights)
-
-
 class PairSpace:
-    """The arcs (v, w) of a graph: a read-only view of its CSR neighbor rows.
+    """The uniform chain of a graph, held on its arcs: a read-only view of its CSR rows.
 
-    Arc k runs from first[k] to second[k], the graph's indices array; vertex
-    v's arcs are k in [indptr[v], indptr[v + 1]), sorted by (first, second).
+    Arc k runs from first[k] to second[k], the graph's indices array, and
+    carries the chain weight weights[k] = P(second[k], first[k]) = 1/deg(first[k]).
+    Vertex v's arcs are k in [indptr[v], indptr[v + 1]), sorted by (first, second).
     """
 
-    __slots__ = ("n", "indptr", "first", "second")
+    __slots__ = ("n", "indptr", "first", "second", "weights")
 
-    def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray):
-        self.n = n
-        self.indptr = indptr
-        self.first = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    def __init__(self, graph: Graph):
+        isolated = np.flatnonzero(graph.degrees == 0)
+        if isolated.size:
+            raise ValueError(f"vertex {isolated[0]} is isolated; the uniform chain is undefined")
+        self.n = graph.n
+        self.indptr = graph.indptr
+        self.first = np.repeat(np.arange(graph.n, dtype=np.int64), graph.degrees)
         self.first.flags.writeable = False
-        self.second = indices
+        self.second = graph.indices
+        self.weights = np.repeat(1.0 / graph.degrees, graph.degrees)
+        self.weights.flags.writeable = False
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "PairSpace":
-        """The graph's arcs, both orientations of every edge."""
-        return cls(graph.n, graph.indptr, graph.indices)
+        """The graph's arcs, both orientations of every edge, with their chain weights."""
+        return cls(graph)
 
     @property
     def size(self) -> int:
@@ -101,6 +83,11 @@ class PairSpace:
 
     def __repr__(self) -> str:
         return f"PairSpace(n={self.n}, size={self.size})"
+
+
+def uniform_stochastic(graph: Graph) -> PairSpace:
+    """Uniform walk chain P(w, v) = 1/deg(v), held on the graph's arcs."""
+    return PairSpace.from_graph(graph)
 
 
 class WalkState:
@@ -143,18 +130,20 @@ class WalkState:
         return f"WalkState(n={self.space.n}, size={self.space.size}, norm={self.norm():.6f})"
 
 
-def _chain_space(chain: StochasticMatrix, space: Optional[PairSpace]) -> PairSpace:
-    """The chain's arc space: `space` once it is checked to be that space, or a new one."""
-    arcs = PairSpace(chain.n, chain.indptr, chain.indices)
-    if space is not None and space != arcs:
+def _chain_space(chain: PairSpace, space: Optional[PairSpace]) -> PairSpace:
+    """The chain's arc space: the chain itself, or `space` once it is checked to equal it."""
+    if space is not None and space != chain:
         raise ValueError(f"{space} is not the arc space of the chain on {chain.n} vertices")
-    return arcs if space is None else space
+    return chain if space is None else space
 
 
 def _marked_arcs(ends: np.ndarray, n: int, marked: Iterable[int]) -> np.ndarray:
     """Positions of the arcs whose `ends` vertex is marked, ascending."""
+    marked = [int(v) for v in marked]
+    if not all(0 <= v < n for v in marked):
+        raise ValueError(f"marked set {sorted(set(marked))} out of range for n={n}")
     flags = np.zeros(n, dtype=bool)
-    flags[[int(v) for v in marked]] = True
+    flags[marked] = True
     return np.flatnonzero(flags[ends])
 
 
@@ -167,9 +156,10 @@ def _probability(amps: np.ndarray, marked_arcs: np.ndarray) -> float:
 class WalkOperator:
     """One search-walk step: chain reflections composed with marked-phase oracles.
 
-    Holds the quantized chain P and the marked set S. reflect_first and
-    reflect_second expose the bare reflections R1 and R2 = Swap R1 Swap
-    (each an involution); apply performs the search step R2 Q2 R1 Q1.
+    Holds the chain P, which is also the arc space, and the marked set S.
+    reflect_first and reflect_second expose the bare reflections R1 and
+    R2 = Swap R1 Swap (each an involution); apply performs the search step
+    R2 Q2 R1 Q1.
 
     R2 Q2 = Swap R1 Q1 Swap is applied without permuting the state: R2
     reflects the arcs entering each vertex w about sqrt(1/deg w), and Q2
@@ -180,17 +170,14 @@ class WalkOperator:
     """
 
     def __init__(
-        self, chain: StochasticMatrix, marked: Iterable[int] = (), space: Optional[PairSpace] = None
+        self, chain: PairSpace, marked: Iterable[int] = (), space: Optional[PairSpace] = None
     ):
-        self.chain = chain
         self.marked = frozenset(int(v) for v in marked)
-        if not all(0 <= v < chain.n for v in self.marked):
-            raise ValueError(f"marked set {sorted(self.marked)} out of range for n={chain.n}")
         self.space = space = _chain_space(chain, space)
-        self._profile = np.sqrt(chain.weights)
-        self._marked_arcs = _marked_arcs(space.first, chain.n, self.marked)
-        self._swapped_profile = np.sqrt(1.0 / np.diff(chain.indptr))[space.second]
-        self._swapped_marked_arcs = _marked_arcs(space.second, chain.n, self.marked)
+        self._profile = np.sqrt(space.weights)
+        self._marked_arcs = _marked_arcs(space.first, space.n, self.marked)
+        self._swapped_profile = np.sqrt(1.0 / np.diff(space.indptr))[space.second]
+        self._swapped_marked_arcs = _marked_arcs(space.second, space.n, self.marked)
         self._after_q1 = np.empty(space.size)
         self._after_r1 = np.empty(space.size)
 
@@ -255,13 +242,14 @@ class WalkOperator:
             state = self.apply(state)
 
 
-def initial_state(chain: StochasticMatrix, space: Optional[PairSpace] = None) -> WalkState:
+def initial_state(chain: PairSpace, space: Optional[PairSpace] = None) -> WalkState:
     """Uniform superposition of column profiles: amp(v, w) = sqrt(P(w, v)) / sqrt(n).
 
     The first-vertex marginal is exactly uniform, so any marked set S
     starts at success probability |S|/n.
     """
-    return WalkState(_chain_space(chain, space), np.sqrt(chain.weights) / math.sqrt(chain.n))
+    space = _chain_space(chain, space)
+    return WalkState(space, np.sqrt(space.weights) / math.sqrt(space.n))
 
 
 def success_probability(state: WalkState, marked: Iterable[int]) -> float:
@@ -270,24 +258,6 @@ def success_probability(state: WalkState, marked: Iterable[int]) -> float:
     Clamped to 1.0: a unit state's marked mass can overshoot by float dust.
     """
     return _probability(state.amps, _marked_arcs(state.space.first, state.space.n, marked))
-
-
-class SearchStart(NamedTuple):
-    """What every search walk on one graph shares, whatever the marked set."""
-
-    chain: StochasticMatrix
-    space: PairSpace
-    state: WalkState
-
-
-def search_start(graph: Graph) -> SearchStart:
-    """The graph's uniform chain, its arc space and the start state.
-
-    Build this once per graph and pass it to a WalkOperator per marked set.
-    """
-    chain = uniform_stochastic(graph)
-    space = PairSpace.from_graph(graph)
-    return SearchStart(chain, space, initial_state(chain, space=space))
 
 
 def probability_trace(graph: Graph, marked: Iterable[int], t_max: int) -> np.ndarray:
@@ -300,6 +270,6 @@ def probability_trace(graph: Graph, marked: Iterable[int], t_max: int) -> np.nda
     marked = sorted({int(v) for v in marked})
     if not marked:
         raise ValueError("marked set must be nonempty")
-    start = search_start(graph)
-    probs = WalkOperator(start.chain, marked, space=start.space).probabilities(start.state)
+    start = initial_state(uniform_stochastic(graph))
+    probs = WalkOperator(start.space, marked).probabilities(start)
     return np.fromiter(islice(probs, t_max + 1), dtype=np.float64, count=t_max + 1)

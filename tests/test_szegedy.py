@@ -45,7 +45,7 @@ def random_unit_state(space, seed):
 def column(P, v):
     """Support and weights of column v of a chain."""
     lo, hi = P.indptr[v], P.indptr[v + 1]
-    return P.indices[lo:hi], P.weights[lo:hi]
+    return P.second[lo:hi], P.weights[lo:hi]
 
 
 class TestStochasticMatrix:
@@ -76,13 +76,21 @@ class TestStochasticMatrix:
     def test_chain_shares_the_graph_arrays_read_only(self):
         g = star(4)
         P = uniform_stochastic(g)
-        assert P.n == g.n and P.indptr is g.indptr and P.indices is g.indices
+        assert P.n == g.n and P.indptr is g.indptr and P.second is g.indices
         assert not P.weights.flags.writeable
         assert np.array_equal(P.weights, np.repeat(1.0 / g.degrees, g.degrees))
+        assert P == PairSpace.from_graph(g)
 
     def test_isolated_vertex_rejected(self):
         with pytest.raises(ValueError, match="isolated"):
             uniform_stochastic(Graph(3, [(0, 1)]))
+        with pytest.raises(ValueError, match="isolated"):
+            PairSpace.from_graph(Graph(3, [(0, 1)]))
+
+    def test_the_chain_is_the_walk_space(self):
+        chain = uniform_stochastic(cycle(6))
+        assert WalkOperator(chain, [0]).space is chain
+        assert initial_state(chain).space is chain
 
 
 class TestInitialState:
@@ -370,6 +378,14 @@ class TestSuccessProbability:
         g = complete(6)
         s = initial_state(uniform_stochastic(g))
         assert success_probability(s, [0, 2, 4]) == pytest.approx(3 / 6, abs=1e-12)
+
+    @pytest.mark.parametrize("vertex", [-1, 8])
+    def test_out_of_range_vertex_rejected(self, vertex):
+        s = initial_state(uniform_stochastic(cycle(8)))
+        with pytest.raises(ValueError, match=rf"marked set \[{vertex}\] out of range for n=8"):
+            success_probability(s, [vertex])
+        with pytest.raises(ValueError, match=rf"marked set \[{vertex}\] out of range for n=8"):
+            WalkOperator(s.space, [vertex])
 
 
 class TestProbabilityTrace:
