@@ -10,16 +10,15 @@ lets the defender re-optimize the measurement time on the attacked instance.
 """
 
 import math
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from numbers import Real
-from itertools import islice
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .exceptional import ExceptionalConfiguration
 from .graphs import Graph
-from .szegedy import WalkOperator, WalkState, initial_state, uniform_stochastic
+from .szegedy import WalkOperator, initial_state, probability_trace, uniform_stochastic
 
 _MAX_OPT_STEPS = 10_000_000
 
@@ -70,19 +69,10 @@ def efficiency(p_base: float, p_attacked: float) -> float:
     return 1.0 - p_attacked / p_base
 
 
-def _probabilities(start: WalkState, marked: Iterable[int]) -> Iterator[float]:
-    """p(0), p(1), ... of the search walk for the marked set from start, stepping lazily."""
-    return WalkOperator(start.space, marked).probabilities(start)
-
-
-def _probability_at(start: WalkState, marked: Iterable[int], t: int) -> float:
-    return next(islice(_probabilities(start, marked), t, None))
-
-
 def probability_at(graph: Graph, marked: Iterable[int], t: int) -> float:
     """Success probability after exactly t steps of the search walk."""
     inst = SearchInstance(graph, marked, t)  # validates the marked set and t
-    return _probability_at(initial_state(uniform_stochastic(graph)), inst.marked, t)
+    return float(probability_trace(graph, inst.marked, t)[t])
 
 
 def apply_attack(inst: SearchInstance, ec: ExceptionalConfiguration) -> SearchInstance:
@@ -117,11 +107,8 @@ def optimize_measurement_time(
     """
     if t_pen < 0:
         raise ValueError(f"t_pen must be nonnegative, got {t_pen}")
-    return _optimize(initial_state(uniform_stochastic(graph)), marked, t_pen)
-
-
-def _optimize(start: WalkState, marked: Iterable[int], t_pen: int) -> OptimizeResult:
-    probs = _probabilities(start, marked)
+    start = initial_state(uniform_stochastic(graph))
+    probs = WalkOperator(start.space, marked).probabilities(start)
     p = next(probs)
     if p <= 0.0:
         raise ValueError("initial success probability is zero; marked set must be nonempty")
@@ -172,27 +159,6 @@ class AttackReport:
             raise ValueError("re-optimized runtime exceeds the attacked runtime")
 
 
-CSV_COLUMNS = (
-    "model", "n", "seed", "anchor", "added_vertices", "kind",
-    "t_base", "p_base", "T_base", "p_attacked", "T_attacked", "eff",
-    "t_opt", "T_opt", "strong_eff", "t_pen", "graph_regens", "anchor_retries",
-)
-
-
-def csv_field(value) -> str:
-    """One CSV field: floats at full round-trip precision, tuples ';'-joined."""
-    if isinstance(value, float):
-        return repr(float(value))
-    if isinstance(value, tuple):
-        return ";".join(str(v) for v in value)
-    return str(value)
-
-
-def report_row(report: AttackReport) -> list[str]:
-    """Serialize a report to the CSV row; the fields are in column order."""
-    return [csv_field(v) for v in astuple(report)]
-
-
 def evaluate_attack(
     graph: Graph,
     marked: Iterable[int],
@@ -207,16 +173,14 @@ def evaluate_attack(
 
     The base measurement time is the clean instance's optimal time under the
     same penalty; the attacked instance is measured at that same time, and
-    the defender's re-optimized time and runtime complete the report. The
-    three walks share one chain and start state.
+    the defender's re-optimized time and runtime complete the report.
     """
     marked = frozenset(int(v) for v in marked)
-    start = initial_state(uniform_stochastic(graph))
-    base_opt = _optimize(start, marked, t_pen)
+    base_opt = optimize_measurement_time(graph, marked, t_pen)
     base = SearchInstance(graph, marked, base_opt.t_opt)
     attacked = apply_attack(base, ec)
-    p_att = _probability_at(start, attacked.marked, base_opt.t_opt)
-    att_opt = _optimize(start, attacked.marked, t_pen)
+    p_att = probability_at(graph, attacked.marked, base_opt.t_opt)
+    att_opt = optimize_measurement_time(graph, attacked.marked, t_pen)
     return AttackReport(
         model=model,
         n=graph.n,

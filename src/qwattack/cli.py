@@ -10,11 +10,12 @@ import argparse
 import secrets
 import sys
 from contextlib import contextmanager
+from dataclasses import astuple
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .attack import CSV_COLUMNS, default_t_pen, evaluate_attack, report_row
+from .attack import default_t_pen, evaluate_attack
 from .exceptional import find_ec_within_distance
 from .graphs import (
     MODELS,
@@ -25,6 +26,7 @@ from .graphs import (
     write_edge_list,
 )
 from .experiments import (
+    CSV_COLUMNS,
     PANELS,
     ExperimentConfig,
     default_workers,
@@ -33,6 +35,7 @@ from .experiments import (
     run_fig1,
     run_fig2,
     run_fig3,
+    write_csv,
     write_fig1_csv,
     write_fig2_csv,
     write_fig3_csv,
@@ -176,13 +179,10 @@ def _output(opts: _Options):
 
 
 def _model_values(opts: _Options) -> dict:
-    """The model parameters shared by ModelParams and ExperimentConfig."""
-    return dict(
-        er_p=opts.get("p", None, float),
-        ws_k=opts.get("k", None, int),
-        ws_beta=opts.get("beta", 0.5, float),
-        ba_m0=opts.get("m0", 3, int),
-    )
+    """The model flags given, as the fields ModelParams and ExperimentConfig share."""
+    flags = (("er_p", "p", float), ("ws_k", "k", int), ("ws_beta", "beta", float), ("ba_m0", "m0", int))
+    given = ((name, opts.get(flag, None, convert)) for name, flag, convert in flags)
+    return {name: value for name, value in given if value is not None}
 
 
 def _cmd_generate(opts: _Options) -> int:
@@ -199,15 +199,12 @@ def _cmd_generate(opts: _Options) -> int:
 def _cmd_scan_ec(opts: _Options) -> int:
     graph = read_edge_list(opts.require("in"))
     vertex = opts.require("vertex", int)
-    if not 0 <= vertex < graph.n:
-        raise ValueError(f"vertex {vertex} out of range for n={graph.n}")
     orders = opts.get("orders", (2, 3), _parse_ints)
     distance = opts.get("distance", None, int)
     configs = find_ec_within_distance(graph, vertex, distance, orders)
     with _output(opts) as fh:
-        fh.write("anchor,kind,vertices\n")
-        for ec in configs:
-            fh.write(f"{ec.anchor},{ec.kind.value},{';'.join(str(v) for v in ec.vertices)}\n")
+        rows = ((ec.anchor, ec.kind.value, ec.vertices) for ec in configs)
+        write_csv(fh, ("anchor", "kind", "vertices"), rows)
     return 0
 
 
@@ -217,17 +214,13 @@ def _cmd_search(opts: _Options) -> int:
     t_max = opts.require("t-max", int)
     trace = probability_trace(graph, marked, t_max)
     with _output(opts) as fh:
-        fh.write("t,probability\n")
-        for t, p in enumerate(trace):
-            fh.write(f"{t},{float(p)!r}\n")
+        write_csv(fh, ("t", "probability"), enumerate(trace))
     return 0
 
 
 def _cmd_attack(opts: _Options) -> int:
     graph = read_edge_list(opts.require("in"))
     anchor = opts.require("marked", int)
-    if not 0 <= anchor < graph.n:
-        raise ValueError(f"vertex {anchor} out of range for n={graph.n}")
     seed = _resolve_seed(opts)
     orders = opts.get("orders", (2,), _parse_ints)
     distance = opts.get("distance", None, int)
@@ -241,8 +234,7 @@ def _cmd_attack(opts: _Options) -> int:
     ec = configs[int(rng.integers(len(configs)))]
     report = evaluate_attack(graph, {anchor}, ec, t_pen, model="file", seed=seed)
     with _output(opts) as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        fh.write(",".join(report_row(report)) + "\n")
+        write_csv(fh, CSV_COLUMNS, [astuple(report)])
     return 0
 
 

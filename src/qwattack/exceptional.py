@@ -91,8 +91,14 @@ def is_exceptional(graph: Graph, subset: Iterable[int]) -> bool:
     return sums[0] == sums[1]
 
 
+def _check_vertex(graph: Graph, v: int) -> None:
+    if not 0 <= v < graph.n:
+        raise ValueError(f"vertex {v} out of range for n={graph.n}")
+
+
 def find_2ec(graph: Graph, v: int) -> list[ExceptionalConfiguration]:
     """All order-2 configurations at v: neighbors w with deg(w) = deg(v), ascending."""
+    _check_vertex(graph, v)
     dv = graph.degree(v)
     return [
         ExceptionalConfiguration(tuple(sorted((v, int(w)))), ECKind.EC2_PATH, v)
@@ -109,6 +115,7 @@ def find_3ec(graph: Graph, v: int) -> list[ExceptionalConfiguration]:
     full graph. Output is ordered triangles first, each group ascending by
     vertex tuple.
     """
+    _check_vertex(graph, v)
     deg = graph.degree
     found: list[ExceptionalConfiguration] = []
     nbrs = [int(w) for w in graph.neighbors(v)]

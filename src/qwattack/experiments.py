@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .attack import CSV_COLUMNS, AttackReport, csv_field, default_t_pen, evaluate_attack
+from .attack import AttackReport, default_t_pen, evaluate_attack
 from .exceptional import ECKind, find_2ec, find_ec_within_distance
 from .graphs import MODELS, ModelParams, derive_seed, generate_graph, is_connected
 
@@ -74,8 +74,8 @@ class ExperimentConfig:
     workers: int = 1
     er_p: Optional[float] = None
     ws_k: Optional[int] = None
-    ws_beta: float = 0.5
-    ba_m0: int = 3
+    ws_beta: float = ModelParams.ws_beta
+    ba_m0: int = ModelParams.ba_m0
 
     def __post_init__(self):
         if self.experiment not in ("fig1", "fig2", "fig3"):
@@ -262,6 +262,8 @@ def rederive_fig2_sample(model: str, n: int, attempt_seed: int, t_pen: int,
     """Reproduce a fig2 row from its recorded seed (resample counters reset)."""
     if params is None:
         params = ModelParams(model=model)
+    elif params.model != model:
+        raise ValueError(f"row model {model!r} disagrees with params model {params.model!r}")
     graph = generate_graph(params, n, seed=derive_seed(attempt_seed, 0))
     if not is_connected(graph):
         raise ValueError("recorded seed does not yield a connected graph")
@@ -353,11 +355,25 @@ def run_fig3(
     return labeled, list(reports)
 
 
+def csv_field(value) -> str:
+    """One CSV field: floats at full round-trip precision, tuples ';'-joined."""
+    if isinstance(value, float):
+        return repr(float(value))
+    if isinstance(value, tuple):
+        return ";".join(str(v) for v in value)
+    return str(value)
+
+
+def write_csv(fh, columns: Sequence[str], rows: Iterable[Iterable]) -> None:
+    """Write the header and one line per row to an open text file, fields by csv_field."""
+    fh.write(",".join(columns) + "\n")
+    for row in rows:
+        fh.write(",".join(csv_field(v) for v in row) + "\n")
+
+
 def _write_csv(path, columns: Sequence[str], rows: Iterable[Iterable]) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(csv_field(v) for v in row) + "\n")
+        write_csv(fh, columns, rows)
 
 
 def write_fig1_csv(rows: Sequence[Fig1Row], path) -> None:
@@ -370,6 +386,14 @@ def write_fig2_csv(reports: Sequence[AttackReport], path) -> None:
 
 def write_fig3_csv(labeled: Sequence[tuple[str, str, RegressionResult]], path) -> None:
     _write_csv(path, FIG3_COLUMNS, ((model, variant, *astuple(res)) for model, variant, res in labeled))
+
+
+# the fig2 row: AttackReport's fields in order, `added` written as added_vertices
+CSV_COLUMNS = (
+    "model", "n", "seed", "anchor", "added_vertices", "kind",
+    "t_base", "p_base", "T_base", "p_attacked", "T_attacked", "eff",
+    "t_opt", "T_opt", "strong_eff", "t_pen", "graph_regens", "anchor_retries",
+)
 
 
 class Fig2CsvParseError(ValueError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _oracles import brute_force_optimum, complete, cycle
+from qwattack import attack
 from qwattack.attack import (
     AttackReport,
     SearchInstance,
@@ -195,6 +196,24 @@ class TestEvaluateAttack:
         assert report.p_attacked == pytest.approx(
             probability_at(g, attacked_marked, report.t_base), abs=1e-14
         )
+
+    def test_walks_through_the_public_optimizer_and_probability_at(self, monkeypatch):
+        # the benchmark's attack.optimize span wraps these module globals
+        g = connected_sample("er", 80, 11)
+        ec = find_2ec(g, next(v for v in range(g.n) if find_2ec(g, v)))[0]
+        expected = evaluate_attack(g, {ec.anchor}, ec, 5)
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("optimize_measurement_time", "probability_at"):
+            monkeypatch.setattr(attack, name, counted(getattr(attack, name)))
+        assert evaluate_attack(g, {ec.anchor}, ec, 5) == expected
+        assert sorted(calls) == ["optimize_measurement_time"] * 2 + ["probability_at"]
 
     @pytest.mark.slow
     def test_ws_attack_efficiency_sanity(self):

@@ -259,6 +259,16 @@ class TestDistanceRestriction:
         assert find_ec_within_distance(g, 1, d=1, orders=(3,)) == []
         assert len(find_ec_within_distance(g, 0, d=1, orders=(3,))) == 1
 
+    @pytest.mark.parametrize("v", [-1, 8])
+    @pytest.mark.parametrize("find", [
+        find_2ec,
+        find_3ec,
+        lambda g, v: find_ec_within_distance(g, v, 1),
+    ], ids=["find_2ec", "find_3ec", "within_distance_1"])
+    def test_anchor_out_of_range_rejected(self, find, v):
+        with pytest.raises(ValueError, match=f"vertex {v} out of range for n=8"):
+            find(cycle(8), v)
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             find_ec_within_distance(cycle(4), 0, d=3)

@@ -20,6 +20,7 @@ from qwattack.experiments import (
     write_fig2_csv,
     write_fig3_csv,
 )
+from qwattack.graphs import ModelParams
 
 
 def make_report(model, n, t_base, T_base, T_attacked, seed=0):
@@ -195,6 +196,13 @@ class TestFig2:
             assert again.p_base == r.p_base
             assert again.eff == r.eff
             assert again.strong_eff == r.strong_eff
+
+    def test_rederive_rejects_params_of_another_model(self):
+        (r,) = run_fig2(self.small_config(models=("er",), samples_per_n=1))
+        with pytest.raises(ValueError, match="'er'.*'ws'"):
+            rederive_fig2_sample("er", r.n, r.seed, r.t_pen, params=ModelParams("ws"))
+        again = rederive_fig2_sample("er", r.n, r.seed, r.t_pen, params=ModelParams("er"))
+        assert again.t_base == r.t_base
 
     def test_csv_round_trip(self, tmp_path):
         reports = run_fig2(self.small_config())
