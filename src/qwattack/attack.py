@@ -173,8 +173,12 @@ def evaluate_attack(
 
     The base measurement time is the clean instance's optimal time under the
     same penalty; the attacked instance is measured at that same time, and
-    the defender's re-optimized time and runtime complete the report.
+    the defender's re-optimized time and runtime complete the report. The
+    penalty must be at least 1: with none both optima sit at t = 0 with
+    T_opt = 0, and the strong efficiency 1 - T_base / T_opt is undefined.
     """
+    if t_pen < 1:
+        raise ValueError(f"t_pen must be at least 1, got {t_pen}")
     marked = frozenset(int(v) for v in marked)
     base_opt = optimize_measurement_time(graph, marked, t_pen)
     base = SearchInstance(graph, marked, base_opt.t_opt)

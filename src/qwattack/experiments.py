@@ -87,6 +87,8 @@ class ExperimentConfig:
             raise ValueError(f"graph orders must be at least 4, got {self.n_grid}")
         if self.samples_per_n < 1:
             raise ValueError("samples_per_n must be positive")
+        if self.t_pen is not None and self.t_pen < 1:
+            raise ValueError(f"t_pen must be at least 1, got {self.t_pen}")
         unknown = set(self.models) - set(MODELS)
         if unknown:
             raise ValueError(f"unknown models {sorted(unknown)}")

@@ -112,8 +112,8 @@ class WalkState:
     def _stepped(cls, space: PairSpace, amps: np.ndarray, norm: float) -> "WalkState":
         """A step's output: its amplitudes, frozen, with their known norm."""
         amps.flags.writeable = False
-        state = cls(space, amps)
-        state._norm = norm
+        state = cls.__new__(cls)
+        state.space, state._amps, state._norm = space, amps, norm
         return state
 
     @property
@@ -161,12 +161,13 @@ class WalkOperator:
     R2 = Swap R1 Swap (each an involution); apply performs the search step
     R2 Q2 R1 Q1.
 
-    R2 Q2 = Swap R1 Q1 Swap is applied without permuting the state: R2
-    reflects the arcs entering each vertex w about sqrt(1/deg w), and Q2
-    negates the arcs entering a marked vertex. The arcs are sorted by
-    (first, second), so each of those block sums adds the same terms in the
-    same order as the permuted form. An operator steps through scratch
-    vectors of its own, so it must not step states from two threads at once.
+    R2 Q2 = Swap R1 Q1 Swap is applied without permuting the state: R2 reflects
+    the arcs entering each vertex w about sqrt(1/deg w), and Q2 negates the arcs
+    entering a marked vertex. The arcs are sorted by (first, second), so each of
+    those block sums adds the same terms in the same order as the permuted form.
+    Both scale a block's overlap by the one factor 2 sqrt(1/deg) of its vertex,
+    exactly (see _reflect). An operator steps through scratch vectors of its
+    own, so it must not step states from two threads at once.
     """
 
     def __init__(
@@ -174,45 +175,44 @@ class WalkOperator:
     ):
         self.marked = frozenset(int(v) for v in marked)
         self.space = space = _chain_space(chain, space)
+        self._degrees = np.diff(space.indptr)
+        vertex_profile = np.sqrt(1.0 / self._degrees)
+        self._twice_vertex_profile = 2.0 * vertex_profile
         self._profile = np.sqrt(space.weights)
         self._marked_arcs = _marked_arcs(space.first, space.n, self.marked)
-        self._swapped_profile = np.sqrt(1.0 / np.diff(space.indptr))[space.second]
+        self._swapped_profile = vertex_profile[space.second]
         self._swapped_marked_arcs = _marked_arcs(space.second, space.n, self.marked)
         self._after_q1 = np.empty(space.size)
-        self._after_r1 = np.empty(space.size)
+        self._weighted = np.empty(space.size)
 
     def _check_space(self, state: WalkState) -> None:
         if state.space is not self.space and state.space != self.space:
             raise ValueError("state pair space does not match the operator pair space")
 
-    def _reflect(
-        self, amps: np.ndarray, blocks: np.ndarray, profile: np.ndarray, out: np.ndarray
-    ) -> np.ndarray:
-        """Write 2 |profile><profile| - I on each block of arcs sharing a `blocks` value.
+    def _reflect(self, amps: np.ndarray, leaving: bool) -> np.ndarray:
+        """A new array: 2 |profile><profile| - I on the arcs leaving (else entering) each vertex.
 
-        `out` receives the result and must not alias `amps`.
+        Scaling v's overlap once by 2 sqrt(1/deg v) rounds the same product as scaling by 2
+        (exact) and then by each profile entry of v's block, bitwise sqrt(1/deg v).
         """
-        np.multiply(profile, amps, out=out)
-        overlap = np.bincount(blocks, weights=out, minlength=self.space.n)
-        overlap *= 2.0
-        # the indices are in range; mode="clip" only skips take's buffered copy
-        np.take(overlap, blocks, out=out, mode="clip")
-        out *= profile
+        blocks = self.space.first if leaving else self.space.second
+        profile = self._profile if leaving else self._swapped_profile
+        np.multiply(profile, amps, out=self._weighted)
+        overlap = np.bincount(blocks, weights=self._weighted, minlength=self.space.n)
+        overlap *= self._twice_vertex_profile
+        out = overlap.repeat(self._degrees) if leaving else overlap[blocks]
         out -= amps
         return out
 
     def reflect_first(self, state: WalkState) -> WalkState:
         """Apply the bare reflection R1 only (exposed for involution checks)."""
-        return self._reflected(state, self.space.first, self._profile)
+        self._check_space(state)
+        return WalkState(self.space, self._reflect(state.amps, leaving=True))
 
     def reflect_second(self, state: WalkState) -> WalkState:
         """Apply the bare reflection R2 = Swap R1 Swap only."""
-        return self._reflected(state, self.space.second, self._swapped_profile)
-
-    def _reflected(self, state: WalkState, blocks: np.ndarray, profile: np.ndarray) -> WalkState:
         self._check_space(state)
-        out = np.empty(self.space.size)
-        return WalkState(self.space, self._reflect(state.amps, blocks, profile, out))
+        return WalkState(self.space, self._reflect(state.amps, leaving=False))
 
     def apply(self, state: WalkState) -> WalkState:
         """One full search step R2 Q2 R1 Q1; raises on norm drift beyond 1e-8."""
@@ -220,11 +220,11 @@ class WalkOperator:
         q1 = self._after_q1
         np.copyto(q1, state.amps)
         q1[self._marked_arcs] *= -1.0
-        r1 = self._reflect(q1, self.space.first, self._profile, self._after_r1)
+        r1 = self._reflect(q1, leaving=True)
         r1[self._swapped_marked_arcs] *= -1.0  # Q2, read through the swap
-        amps = self._reflect(r1, self.space.second, self._swapped_profile, np.empty(r1.size))
+        amps = self._reflect(r1, leaving=False)
         norm_in = state.norm()
-        norm_out = float(np.linalg.norm(amps))
+        norm_out = math.sqrt(amps.dot(amps))  # what np.linalg.norm computes for a real vector
         if abs(norm_out - norm_in) > NORM_DRIFT_LIMIT * max(1.0, norm_in):
             raise NumericalStabilityError(
                 f"walk step changed the state norm from {norm_in} to {norm_out}"

@@ -215,6 +215,14 @@ class TestEvaluateAttack:
         assert evaluate_attack(g, {ec.anchor}, ec, 5) == expected
         assert sorted(calls) == ["optimize_measurement_time"] * 2 + ["probability_at"]
 
+    @pytest.mark.parametrize("t_pen", [0, -1])
+    def test_penalty_below_one_rejected(self, t_pen):
+        # with no penalty both optima are T_opt = 0 and strong_eff = 1 - 0/0
+        g = connected_sample("er", 200)
+        ec = find_2ec(g, next(v for v in range(g.n) if find_2ec(g, v)))[0]
+        with pytest.raises(ValueError, match="t_pen must be at least 1"):
+            evaluate_attack(g, {ec.anchor}, ec, t_pen)
+
     @pytest.mark.slow
     def test_ws_attack_efficiency_sanity(self):
         # moderate-scale smoke check of the large-n suppression behavior

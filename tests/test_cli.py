@@ -113,6 +113,17 @@ class TestAttack:
         assert fields[1] == "8"
         assert fields[3] == "2"
 
+    def test_zero_penalty_is_rejected_by_name(self, tmp_path, capsys):
+        path = tmp_path / "c8.edges"
+        write_edge_list(cycle(8), path)
+        code, out, err = run_cli(
+            ["attack", "--in", str(path), "--marked", "2", "--seed", "3", "--t-pen", "0"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "t_pen must be at least 1" in err
+
 
 class TestUsage:
     def test_no_command_is_usage_error(self, capsys):
@@ -184,6 +195,16 @@ class TestFigureCommands:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    def test_fig2_zero_penalty_exits_before_drawing(self, tmp_path, capsys):
+        out = tmp_path / "fig2.csv"
+        code, _, err = run_cli(
+            ["fig2", "--model", "er", "--n", "60", "--samples", "1", "--t-pen", "0", "--out", str(out)],
+            capsys,
+        )
+        assert code == 1
+        assert "t_pen must be at least 1" in err
+        assert not out.exists()
 
     def test_fig2_and_fig3_pipeline(self, tmp_path, capsys):
         fig2_out = tmp_path / "fig2.csv"

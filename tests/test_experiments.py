@@ -73,6 +73,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="fig1", models=("er", "grid"))
 
+    @pytest.mark.parametrize("t_pen", [0, -3])
+    def test_penalty_below_one_rejected(self, t_pen):
+        with pytest.raises(ValueError, match="t_pen must be at least 1"):
+            ExperimentConfig(experiment="fig2", n_grid=(60,), t_pen=t_pen)
+
 
 class TestRegression:
     def test_exact_square_root_power_law(self):

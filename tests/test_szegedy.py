@@ -197,6 +197,54 @@ class TestWalkAgainstDenseOracle:
         assert np.allclose(trace, 0.25, atol=1e-10)
 
 
+def literal_reflection(amps, blocks, profile, n):
+    """2 |profile><profile| - I per block, written out step by step: multiply,
+    block sums, double, gather, scale by the arc profile, subtract the input."""
+    weighted = np.multiply(profile, amps)
+    overlap = np.bincount(blocks, weights=weighted, minlength=n)
+    overlap *= 2.0
+    out = np.take(overlap, blocks)
+    out *= profile
+    out -= amps
+    return out
+
+
+class TestBitwiseStep:
+    """The engine's reflections and step, bit for bit against the literal transcription.
+
+    The seed-0 benchmark references compare integer fields such as the
+    optimal time exactly, and a last-bit change in p(t) can move them, so a
+    faster step must round every amplitude the same way.
+    """
+
+    @pytest.mark.parametrize("model", ["er", "ws", "ba"])
+    def test_200_steps_match_the_literal_reflections(self, model):
+        n = 300
+        g = next(
+            c for a in range(50)
+            if is_connected(c := generate_graph(ModelParams(model=model), n, seed=derive_seed(13, n, a)))
+        )
+        ec = next(ecs[0] for w in range(n) if (ecs := find_2ec(g, w)))
+        space = uniform_stochastic(g)
+        profile = np.sqrt(space.weights)
+        swapped_profile = np.sqrt(1.0 / np.diff(space.indptr))[space.second]
+        for marked in ([ec.anchor], list(ec.vertices)):
+            op = WalkOperator(space, marked)
+            leaving = np.isin(space.first, marked)
+            entering = np.isin(space.second, marked)
+            state = initial_state(space)
+            for _ in range(200):
+                amps = state.amps
+                r1 = literal_reflection(amps, space.first, profile, n)
+                r2 = literal_reflection(amps, space.second, swapped_profile, n)
+                assert np.array_equal(op.reflect_first(state).amps, r1)
+                assert np.array_equal(op.reflect_second(state).amps, r2)
+                step = literal_reflection(np.where(leaving, -amps, amps), space.first, profile, n)
+                step = literal_reflection(np.where(entering, -step, step), space.second, swapped_profile, n)
+                state = op.apply(state)
+                assert np.array_equal(state.amps, step)
+
+
 PAW = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
 
 
