@@ -2,8 +2,9 @@
 and the three experiment harnesses, all emitting CSV.
 
 Flags may also be supplied through a plain key=value config file via
---config; explicit flags win over config values. Exit codes: 0 success,
-1 runtime failure (diagnostics on stderr), 2 usage error.
+--config: each line becomes a --key=value flag ahead of the command line's
+own, so config values pass the same checks and explicit flags win. Exit
+codes: 0 success, 1 runtime failure (diagnostics on stderr), 2 usage error.
 """
 
 import argparse
@@ -29,7 +30,6 @@ from .experiments import (
     CSV_COLUMNS,
     PANELS,
     ExperimentConfig,
-    default_workers,
     expand_grid,
     read_fig2_csv,
     run_fig1,
@@ -58,26 +58,12 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-class _Options:
-    """Flag/config/default resolution: explicit flags win over config values."""
-
-    def __init__(self, args: argparse.Namespace, config: dict[str, str]):
-        self._args = args
-        self._config = config
-
-    def get(self, name: str, default=None, convert=str):
-        flag = getattr(self._args, name.replace("-", "_"), None)
-        if flag is not None:
-            return flag
-        if name in self._config:
-            return convert(self._config[name])
-        return default
-
-    def require(self, name: str, convert=str):
-        value = self.get(name, None, convert)
-        if value is None:
-            raise ValueError(f"missing required option --{name}")
-        return value
+def _require(args: argparse.Namespace, name: str):
+    """The value of --name, which must be given as a flag or a config key."""
+    value = getattr(args, name.replace("-", "_"))
+    if value is None:
+        raise ValueError(f"missing required option --{name}")
+    return value
 
 
 def _parse_models(raw: str) -> tuple[str, ...]:
@@ -121,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan-ec", help="list exceptional configurations at a vertex")
     p.add_argument("--in", help="edge-list file")
     p.add_argument("--vertex", type=int)
-    p.add_argument("--orders", type=_parse_ints, help="comma list among 2,3 (default 2,3)")
+    p.add_argument("--orders", type=_parse_ints, default=(2, 3), help="comma list among 2,3 (default 2,3)")
     p.add_argument("--distance", type=int, choices=(1, 2), help="hop-distance cap (default none)")
     _add_common(p)
 
@@ -134,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="attack one marked vertex with a random EC")
     p.add_argument("--in", help="edge-list file")
     p.add_argument("--marked", type=int, help="the single originally marked vertex")
-    p.add_argument("--orders", type=_parse_ints, help="comma list among 2,3 (default 2)")
+    p.add_argument("--orders", type=_parse_ints, default=(2,), help="comma list among 2,3 (default 2)")
     p.add_argument("--distance", type=int, choices=(1, 2), help="hop-distance cap (default none)")
     p.add_argument("--t-pen", type=int, dest="t_pen", help="penalty steps (default ceil(ln n))")
     _add_common(p)
@@ -147,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, help="single graph order (shorthand grid)")
         p.add_argument("--n-grid", dest="n_grid", help="start:stop:step, stop inclusive")
         p.add_argument("--samples", type=int, help="samples per (model, n)")
-        p.add_argument("--workers", type=int, help=f"process count (default ${'{'}QWATTACK_WORKERS{'}'} or 1)")
+        p.add_argument("--workers", type=int, help="process count (default 1)")
         if name != "fig1":
             p.add_argument("--t-pen", type=int, dest="t_pen", help="penalty steps (default ceil(ln n))")
         if name == "fig3":
@@ -159,8 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(opts: _Options) -> int:
-    seed = opts.get("seed", None, int)
+def _resolve_seed(args: argparse.Namespace) -> int:
+    seed = args.seed
     if seed is None:
         seed = secrets.randbits(32)
         print(f"seed: {seed}", file=sys.stderr)
@@ -168,111 +154,96 @@ def _resolve_seed(opts: _Options) -> int:
 
 
 @contextmanager
-def _output(opts: _Options):
+def _output(args: argparse.Namespace):
     """The --out file, closed on exit, or stdout when --out is not given."""
-    path = opts.get("out")
-    if path is None:
+    if args.out is None:
         yield sys.stdout
         return
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with open(args.out, "w", encoding="ascii", newline="\n") as fh:
         yield fh
 
 
-def _model_values(opts: _Options) -> dict:
+def _model_values(args: argparse.Namespace) -> dict:
     """The model flags given, as the fields ModelParams and ExperimentConfig share."""
-    flags = (("er_p", "p", float), ("ws_k", "k", int), ("ws_beta", "beta", float), ("ba_m0", "m0", int))
-    given = ((name, opts.get(flag, None, convert)) for name, flag, convert in flags)
-    return {name: value for name, value in given if value is not None}
+    flags = (("er_p", "p"), ("ws_k", "k"), ("ws_beta", "beta"), ("ba_m0", "m0"))
+    return {name: getattr(args, flag) for name, flag in flags if getattr(args, flag) is not None}
 
 
-def _cmd_generate(opts: _Options) -> int:
-    model = opts.require("model")
-    n = opts.require("n", int)
-    seed = _resolve_seed(opts)
-    graph = generate_graph(ModelParams(model=model, **_model_values(opts)), n, seed=seed)
-    out = opts.require("out")
+def _cmd_generate(args: argparse.Namespace) -> int:
+    model, n, out = (_require(args, name) for name in ("model", "n", "out"))
+    seed = _resolve_seed(args)
+    graph = generate_graph(ModelParams(model=model, **_model_values(args)), n, seed=seed)
     write_edge_list(graph, out)
     print(f"wrote {model} graph n={graph.n} edges={graph.num_edges} to {out}", file=sys.stderr)
     return 0
 
 
-def _cmd_scan_ec(opts: _Options) -> int:
-    graph = read_edge_list(opts.require("in"))
-    vertex = opts.require("vertex", int)
-    orders = opts.get("orders", (2, 3), _parse_ints)
-    distance = opts.get("distance", None, int)
-    configs = find_ec_within_distance(graph, vertex, distance, orders)
-    with _output(opts) as fh:
+def _cmd_scan_ec(args: argparse.Namespace) -> int:
+    graph = read_edge_list(_require(args, "in"))
+    configs = find_ec_within_distance(graph, _require(args, "vertex"), args.distance, args.orders)
+    with _output(args) as fh:
         rows = ((ec.anchor, ec.kind.value, ec.vertices) for ec in configs)
         write_csv(fh, ("anchor", "kind", "vertices"), rows)
     return 0
 
 
-def _cmd_search(opts: _Options) -> int:
-    graph = read_edge_list(opts.require("in"))
-    marked = opts.require("marked", _parse_ints)
-    t_max = opts.require("t-max", int)
-    trace = probability_trace(graph, marked, t_max)
-    with _output(opts) as fh:
+def _cmd_search(args: argparse.Namespace) -> int:
+    graph = read_edge_list(_require(args, "in"))
+    trace = probability_trace(graph, _require(args, "marked"), _require(args, "t-max"))
+    with _output(args) as fh:
         write_csv(fh, ("t", "probability"), enumerate(trace))
     return 0
 
 
-def _cmd_attack(opts: _Options) -> int:
-    graph = read_edge_list(opts.require("in"))
-    anchor = opts.require("marked", int)
-    seed = _resolve_seed(opts)
-    orders = opts.get("orders", (2,), _parse_ints)
-    distance = opts.get("distance", None, int)
-    t_pen = opts.get("t-pen", default_t_pen(graph.n), int)
-    configs = find_ec_within_distance(graph, anchor, distance, orders)
+def _cmd_attack(args: argparse.Namespace) -> int:
+    graph = read_edge_list(_require(args, "in"))
+    anchor = _require(args, "marked")
+    seed = _resolve_seed(args)
+    t_pen = default_t_pen(graph.n) if args.t_pen is None else args.t_pen
+    configs = find_ec_within_distance(graph, anchor, args.distance, args.orders)
     if not configs:
         raise ValueError(
-            f"no exceptional configuration of orders {sorted(orders)} containing vertex {anchor}"
+            f"no exceptional configuration of orders {sorted(args.orders)} containing vertex {anchor}"
         )
     rng = np.random.default_rng(seed)
     ec = configs[int(rng.integers(len(configs)))]
     report = evaluate_attack(graph, {anchor}, ec, t_pen, model="file", seed=seed)
-    with _output(opts) as fh:
+    with _output(args) as fh:
         write_csv(fh, CSV_COLUMNS, [astuple(report)])
     return 0
 
 
-def _experiment_config(name: str, opts: _Options) -> ExperimentConfig:
-    single_n = opts.get("n", None, int)
-    grid_raw = opts.get("n-grid", None)
-    if single_n is not None and grid_raw is not None:
+def _experiment_config(name: str, args: argparse.Namespace) -> ExperimentConfig:
+    if args.n is not None and args.n_grid is not None:
         raise ValueError("give either --n or --n-grid, not both")
-    grid = () if grid_raw is None else expand_grid(grid_raw)
-    if single_n is not None:
-        grid = (single_n,)
+    grid = () if args.n_grid is None else expand_grid(args.n_grid)
+    if args.n is not None:
+        grid = (args.n,)
     default_samples = 50 if name == "fig1" else 20
     return ExperimentConfig(
         experiment=name,
-        models=opts.get("model", MODELS, _parse_models),
+        models=MODELS if args.model is None else args.model,
         n_grid=grid,
-        samples_per_n=opts.get("samples", default_samples, int),
-        t_pen=opts.get("t-pen", None, int),
-        root_seed=_resolve_seed(opts),
-        workers=opts.get("workers", default_workers(), int),
-        **_model_values(opts),
+        samples_per_n=default_samples if args.samples is None else args.samples,
+        t_pen=getattr(args, "t_pen", None),
+        root_seed=_resolve_seed(args),
+        workers=1 if args.workers is None else args.workers,
+        **_model_values(args),
     )
 
 
-def _cmd_fig1(opts: _Options) -> int:
-    config = _experiment_config("fig1", opts)
-    rows = run_fig1(config)
-    out = opts.require("out")
+def _cmd_fig1(args: argparse.Namespace) -> int:
+    out = _require(args, "out")
+    rows = run_fig1(_experiment_config("fig1", args))
     write_fig1_csv(rows, out)
     regens = sum(r.regens for r in rows) // len(PANELS)
     print(f"fig1: {len(rows)} rows to {out} (graph regenerations: {regens})", file=sys.stderr)
     return 0
 
 
-def _cmd_fig2(opts: _Options) -> int:
-    config = _experiment_config("fig2", opts)
-    reports = run_fig2(config)
-    out = opts.require("out")
+def _cmd_fig2(args: argparse.Namespace) -> int:
+    out = _require(args, "out")
+    reports = run_fig2(_experiment_config("fig2", args))
     write_fig2_csv(reports, out)
     regens = sum(r.graph_regens for r in reports)
     retries = sum(r.anchor_retries for r in reports)
@@ -288,25 +259,24 @@ def _cmd_fig2(opts: _Options) -> int:
 _SWEEP_OPTIONS = ("n", "n-grid", "samples", "t-pen", "workers", "seed", "p", "k", "beta", "m0")
 
 
-def _cmd_fig3(opts: _Options) -> int:
-    infile = opts.get("in")
+def _cmd_fig3(args: argparse.Namespace) -> int:
+    out = _require(args, "out")
+    infile = getattr(args, "in")
     if infile is None:
-        labeled, reports = run_fig3(_experiment_config("fig3", opts))
+        labeled, reports = run_fig3(_experiment_config("fig3", args))
     else:
-        given = [f"--{name}" for name in _SWEEP_OPTIONS if opts.get(name) is not None]
+        given = [f"--{name}" for name in _SWEEP_OPTIONS if getattr(args, name.replace("-", "_")) is not None]
         if given:
             raise ValueError(f"--in regresses {infile} and runs no sweep; drop {', '.join(given)}")
         reports = read_fig2_csv(infile)
         present = tuple(m for m in MODELS if any(r.model == m for r in reports))
         if not present:
             raise ValueError(f"{infile} has no rows of the models {', '.join(MODELS)}")
-        models = opts.get("model", present, _parse_models)
+        models = present if args.model is None else args.model
         labeled, reports = run_fig3(ExperimentConfig("fig3", models=models), reports)
-    out = opts.require("out")
     write_fig3_csv(labeled, out)
-    samples_out = opts.get("samples-out")
-    if samples_out:
-        write_fig2_csv(reports, samples_out)
+    if args.samples_out:
+        write_fig2_csv(reports, args.samples_out)
     for model, variant, res in labeled:
         print(f"fig3: {model} {variant}: alpha={res.alpha:.4f} (rse {res.rse:.4f})", file=sys.stderr)
     return 0
@@ -323,28 +293,31 @@ _COMMANDS = {
 }
 
 
-def cli_main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(list(sys.argv[1:]) if argv is None else list(argv))
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    config = {}
-    if getattr(args, "config", None):
-        try:
-            config = _load_config(args.config)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    # a config key is a flag of the subcommand without its leading dashes
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    """The --config file's lines as --key=value flags; each key must name a flag of the command."""
+    config = _load_config(args.config)
     keys = {dest.replace("_", "-") for dest in vars(args)} - {"command", "config"}
     unknown = sorted(set(config) - keys)
     if unknown:
-        print(f"error: {args.config}: unknown config keys {unknown} for {args.command}", file=sys.stderr)
-        return 1
-    opts = _Options(args, config)
+        raise ValueError(f"{args.config}: unknown config keys {unknown} for {args.command}")
+    return [f"--{key}={value}" for key, value in config.items()]
+
+
+def cli_main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        return _COMMANDS[args.command](opts)
+        args = parser.parse_args(argv)
+        if args.config:
+            # argv[0] is the command; argparse keeps an option's last value, so explicit flags win
+            args = parser.parse_args(argv[:1] + _config_flags(args) + argv[1:])
+    except SystemExit as exc:
+        return int(exc.code) if exc.code is not None else 0
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    try:
+        return _COMMANDS[args.command](args)
     except (ValueError, OSError, RuntimeError, ArithmeticError, EdgeListParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

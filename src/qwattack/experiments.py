@@ -10,6 +10,7 @@ worker count, and any CSV row can be re-derived from its recorded seed alone.
 import csv
 import logging
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields, replace
@@ -20,8 +21,6 @@ import numpy as np
 from .attack import AttackReport, default_t_pen, evaluate_attack
 from .exceptional import ECKind, find_2ec, find_ec_within_distance
 from .graphs import MODELS, ModelParams, derive_seed, generate_graph, is_connected
-
-WORKERS_ENV = "QWATTACK_WORKERS"
 
 logger = logging.getLogger(__name__)
 
@@ -37,15 +36,6 @@ _PANEL_SPEC = {
 
 FIG1_COLUMNS = ("model", "n", "panel", "probability", "ci_low", "ci_high", "samples", "seed", "regens")
 FIG3_COLUMNS = ("model", "variant", "alpha", "intercept", "rse", "points")
-
-
-def default_workers() -> int:
-    """Worker count from the environment, defaulting to 1."""
-    raw = os.environ.get(WORKERS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def expand_grid(spec) -> tuple[int, ...]:
@@ -117,11 +107,18 @@ class Fig1Row:
     regens: int
 
 
+# the thread caps a freshly imported numpy reads from the environment
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _run_pool(worker, tasks, workers: int):
     """Map tasks preserving order, inline or over a process pool.
 
     The pool starts every worker at once, so the request is clamped to
-    min(workers, tasks, CPUs), with a warning when that lowers it.
+    min(workers, tasks, CPUs), with a warning when that lowers it. Workers
+    are spawned, not forked, with one BLAS thread each: a forked worker keeps
+    the thread count the parent's numpy read at import, and the workers' BLAS
+    threads then compete for the same cores.
     """
     limit = max(1, min(workers, len(tasks), os.cpu_count() or 1))
     if limit < workers:
@@ -131,8 +128,17 @@ def _run_pool(worker, tasks, workers: int):
         )
     if limit == 1:
         return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=limit) as pool:
-        return list(pool.map(worker, tasks, chunksize=1))
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        with ProcessPoolExecutor(max_workers=limit, mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(worker, tasks, chunksize=1))
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
 def _connected_draws(params: ModelParams, n: int, *seed_parts: int):

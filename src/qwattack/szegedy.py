@@ -64,17 +64,6 @@ class PairSpace:
     def size(self) -> int:
         return self.second.size
 
-    def index_of(self, first, second) -> np.ndarray:
-        """Positions of the arcs (first, second); raises KeyError if any is absent."""
-        pos = np.empty(np.broadcast(first, second).shape, dtype=np.int64)
-        for i, (v, w) in enumerate(np.broadcast(first, second)):
-            lo, hi = (self.indptr[v], self.indptr[v + 1]) if 0 <= v < self.n else (0, 0)
-            k = lo + int(self.second[lo:hi].searchsorted(w))
-            if k == hi or self.second[k] != w:
-                raise KeyError(f"arc ({v}, {w}) not in pair space")
-            pos.flat[i] = k
-        return pos
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PairSpace):
             return NotImplemented
@@ -123,18 +112,8 @@ class WalkState:
     def norm(self) -> float:
         return float(np.linalg.norm(self._amps)) if self._norm is None else self._norm
 
-    def copy(self) -> "WalkState":
-        return WalkState(self.space, self.amps.copy())
-
     def __repr__(self) -> str:
         return f"WalkState(n={self.space.n}, size={self.space.size}, norm={self.norm():.6f})"
-
-
-def _chain_space(chain: PairSpace, space: Optional[PairSpace]) -> PairSpace:
-    """The chain's arc space: the chain itself, or `space` once it is checked to equal it."""
-    if space is not None and space != chain:
-        raise ValueError(f"{space} is not the arc space of the chain on {chain.n} vertices")
-    return chain if space is None else space
 
 
 def _marked_arcs(ends: np.ndarray, n: int, marked: Iterable[int]) -> np.ndarray:
@@ -173,8 +152,10 @@ class WalkOperator:
     def __init__(
         self, chain: PairSpace, marked: Iterable[int] = (), space: Optional[PairSpace] = None
     ):
+        if space is not None and space != chain:
+            raise ValueError(f"{space} is not the arc space of the chain on {chain.n} vertices")
         self.marked = frozenset(int(v) for v in marked)
-        self.space = space = _chain_space(chain, space)
+        self.space = space = chain if space is None else space
         self._degrees = np.diff(space.indptr)
         vertex_profile = np.sqrt(1.0 / self._degrees)
         self._twice_vertex_profile = 2.0 * vertex_profile
@@ -242,14 +223,13 @@ class WalkOperator:
             state = self.apply(state)
 
 
-def initial_state(chain: PairSpace, space: Optional[PairSpace] = None) -> WalkState:
+def initial_state(chain: PairSpace) -> WalkState:
     """Uniform superposition of column profiles: amp(v, w) = sqrt(P(w, v)) / sqrt(n).
 
     The first-vertex marginal is exactly uniform, so any marked set S
     starts at success probability |S|/n.
     """
-    space = _chain_space(chain, space)
-    return WalkState(space, np.sqrt(space.weights) / math.sqrt(space.n))
+    return WalkState(chain, np.sqrt(chain.weights) / math.sqrt(chain.n))
 
 
 def success_probability(state: WalkState, marked: Iterable[int]) -> float:

@@ -306,6 +306,18 @@ def brute_force_ecs(graph: Graph, v: int) -> set:
 # ------------------------------------------------- stationary-state witness
 
 
+def index_of(space, first, second) -> np.ndarray:
+    """Positions of the arcs (first, second) in `space`; raises KeyError if any is absent."""
+    pos = np.empty(np.broadcast(first, second).shape, dtype=np.int64)
+    for i, (v, w) in enumerate(np.broadcast(first, second)):
+        lo, hi = (space.indptr[v], space.indptr[v + 1]) if 0 <= v < space.n else (0, 0)
+        k = lo + int(space.second[lo:hi].searchsorted(w))
+        if k == hi or space.second[k] != w:
+            raise KeyError(f"arc ({v}, {w}) not in pair space")
+        pos.flat[i] = k
+    return pos
+
+
 def stationary_witness(graph: Graph, H, space) -> tuple[np.ndarray, float]:
     """Candidate +1 eigenvector of the search step marking H, and its residual.
 
@@ -326,7 +338,7 @@ def stationary_witness(graph: Graph, H, space) -> tuple[np.ndarray, float]:
     x = np.linalg.lstsq(A, rhs, rcond=None)[0]
     amps = np.ones(space.size)
     for e, (a, b) in enumerate(edges):
-        amps[space.index_of([a, b], [b, a])] = x[e]
+        amps[index_of(space, [a, b], [b, a])] = x[e]
     return amps, float(np.max(np.abs(A @ x - rhs)))
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from _oracles import cycle, star
+from qwattack import cli
 from qwattack.cli import cli_main
 from qwattack.graphs import read_edge_list, write_edge_list
 
@@ -169,6 +170,26 @@ class TestConfigFile:
         assert code == 0
         assert out.splitlines()[1:] == ["3,2ec_path,2;3", "3,2ec_path,3;4"]
 
+    @pytest.mark.parametrize(
+        "argv,key,value,message",
+        [
+            (["generate", "--model", "er"], "n", "abc", "argument --n: invalid int value: 'abc'"),
+            (["generate", "--n", "20"], "model", "zz", "argument --model: invalid choice: 'zz'"),
+            (["scan-ec", "--in", "g.edges", "--vertex", "3"], "distance", "5", "argument --distance: invalid choice: 5"),
+        ],
+        ids=["generate-n", "generate-model", "scan-ec-distance"],
+    )
+    def test_bad_config_value_is_a_usage_error_like_the_flag(self, tmp_path, capsys, argv, key, value, message):
+        out = tmp_path / "x.out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        for given in ([f"--{key}", value], ["--config", str(cfg)]):
+            code, _, err = run_cli([*argv, *given, "--out", str(out)], capsys)
+            assert code == 2
+            assert message in err
+            assert "seed:" not in err
+            assert not out.exists()
+
     @pytest.mark.parametrize("command,key", [("fig1", "sample"), ("scan-ec", "infile"), ("generate", "config")])
     def test_unknown_config_key_rejected(self, tmp_path, capsys, command, key):
         out = tmp_path / "x.csv"
@@ -195,6 +216,15 @@ class TestFigureCommands:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    def test_fig2_without_out_exits_before_the_sweep(self, monkeypatch, capsys):
+        def sweep(config):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "run_fig2", sweep)
+        code, _, err = run_cli(["fig2", "--model", "er", "--n", "60", "--samples", "1", "--seed", "1"], capsys)
+        assert code == 1
+        assert "missing required option --out" in err
 
     def test_fig2_zero_penalty_exits_before_drawing(self, tmp_path, capsys):
         out = tmp_path / "fig2.csv"
@@ -317,14 +347,3 @@ class TestFigureCommands:
         assert code == 1
         assert "not both" in err
 
-
-class TestWorkerDefaults:
-    def test_env_variable_sets_default(self, monkeypatch):
-        from qwattack.experiments import default_workers
-
-        monkeypatch.setenv("QWATTACK_WORKERS", "3")
-        assert default_workers() == 3
-        monkeypatch.setenv("QWATTACK_WORKERS", "not-a-number")
-        assert default_workers() == 1
-        monkeypatch.delenv("QWATTACK_WORKERS")
-        assert default_workers() == 1

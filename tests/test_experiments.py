@@ -1,5 +1,6 @@
 import logging
 import math
+import os
 
 import pytest
 
@@ -286,7 +287,7 @@ class FakePool:
 
     sizes = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context=None):
         FakePool.sizes.append(max_workers)
 
     def __enter__(self):
@@ -332,6 +333,17 @@ class TestWorkerClamp:
             assert experiments._run_pool(abs, [-1, -2], 8) == [1, 2]
         assert pool.sizes == []
         assert "using 1 of 8 requested workers" in caplog.text
+
+
+class TestPoolBlasThreads:
+    VARIABLES = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+
+    def test_pool_workers_see_one_blas_thread(self, monkeypatch):
+        for name in self.VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        assert experiments._run_pool(os.getenv, self.VARIABLES, 2) == ["1"] * 3
+        assert [os.environ.get(name) for name in self.VARIABLES] == [None] * 3
 
 
 class TestFig3:
