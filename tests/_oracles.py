@@ -177,6 +177,36 @@ def reference_rows(n: int, edges) -> list[list[int]]:
     return [sorted(r) for r in rows]
 
 
+def ws_reference(n: int, k: int, beta: float, seed: int) -> Graph:
+    """Watts-Strogatz rewiring with Python sets, walking sorted(closed[u]) for each pick.
+
+    The generator's first form, kept as the oracle for its stream: same
+    parameters and seed, so the edge list must match gen_watts_strogatz's.
+    """
+    rng = np.random.default_rng(seed)
+    random, integers = rng.random, rng.integers
+    half = k // 2
+    # closed neighborhoods: u's own entry makes sorted(closed[u]) what u may not pick
+    closed = [{(u + off) % n for off in range(-half, half + 1)} for u in range(n)]
+    # far end of the lattice edge (u, u + off), at [(off - 1) * n + u]; rewiring moves it
+    far = [(u + off) % n for off in range(1, half + 1) for u in range(n)]
+    for slot in range(half * n):
+        u = slot % n
+        if random() >= beta or len(closed[u]) >= n:
+            continue  # kept, or neighborhood full: nothing to rewire to
+        # the w-th vertex outside closed[u]: step w past each member at or below it
+        w = int(integers(n - len(closed[u])))
+        for x in sorted(closed[u]):
+            if x > w:
+                break
+            w += 1
+        v, far[slot] = far[slot], w
+        closed[u] ^= {v, w}  # u trades v for w
+        closed[v].remove(u)
+        closed[w].add(u)
+    return Graph(n, np.column_stack((np.tile(np.arange(n), half), far)))
+
+
 # ----------------------------------------------------------- connectivity
 
 def connected_by_bfs(rows: list[list[int]]) -> bool:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import connected_by_bfs, connected_by_union_find, cycle, reference_rows, star
+from _oracles import connected_by_bfs, connected_by_union_find, cycle, reference_rows, star, ws_reference
 from qwattack.graphs import (
     EdgeListParseError,
     Graph,
@@ -125,6 +125,24 @@ class TestWattsStrogatz:
 
     def test_deterministic_for_fixed_seed(self):
         assert gen_watts_strogatz(40, 6, 0.5, seed=9) == gen_watts_strogatz(40, 6, 0.5, seed=9)
+
+
+class TestWattsStrogatzAgainstReference:
+    """The generator against the set-based rewiring in _oracles: same stream, same edges."""
+
+    @given(st.integers(3, 60), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_every_even_degree(self, n, beta, seed):
+        for k in range(2, n, 2):
+            for b in (0.0, 1.0, beta):
+                assert gen_watts_strogatz(n, k, b, seed) == ws_reference(n, k, b, seed), (n, k, b, seed)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n", [1000, 2400, 4000])
+    def test_experiment_sizes(self, n):
+        for beta, seed in ((0.5, derive_seed(n, 0)), (1.0, derive_seed(n, 1))):
+            k = default_ws_k(n)
+            assert gen_watts_strogatz(n, k, beta, seed) == ws_reference(n, k, beta, seed), (n, k, beta, seed)
 
 
 class TestBarabasiAlbert:
