@@ -68,6 +68,8 @@ def _require(args: argparse.Namespace, name: str):
 
 def _parse_models(raw: str) -> tuple[str, ...]:
     models = tuple(m.strip() for m in raw.split(",") if m.strip())
+    if not models:
+        raise ValueError(f"no models given; expected among {MODELS}")
     unknown = set(models) - set(MODELS)
     if unknown:
         raise ValueError(f"unknown models {sorted(unknown)}; expected among {MODELS}")

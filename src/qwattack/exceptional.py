@@ -130,10 +130,10 @@ def find_3ec(graph: Graph, v: int) -> list[ExceptionalConfiguration]:
                 found.append(
                     ExceptionalConfiguration(tuple(sorted((v, a, c))), ECKind.EC3_PATH, v)
                 )
+    near = {v, *nbrs}
     for b in nbrs:
-        for c in graph.neighbors(b):
-            c = int(c)
-            if c == v or graph.has_edge(v, c):
+        for c in graph.neighbors(b).tolist():
+            if c in near:
                 continue
             if deg(b) == deg(v) + deg(c):
                 found.append(
@@ -156,17 +156,29 @@ def find_ec_within_distance(
     Output is order-2 configurations, then triangles, then paths, each group
     ascending by vertex tuple, as find_2ec and find_3ec list them.
     """
-    orders = {int(o) for o in orders}
-    if not orders or not orders <= {2, 3}:
-        raise ValueError(f"orders must be a nonempty subset of {{2, 3}}, got {sorted(orders)}")
-    if d is not None and d not in (1, 2):
-        raise ValueError(f"hop distance must be 1, 2, or None, got {d}")
+    orders = ec_query(orders, d)
     found: list[ExceptionalConfiguration] = []
     if 2 in orders:
         found.extend(find_2ec(graph, v))
     if 3 in orders:
         found.extend(find_3ec(graph, v))
-    if d == 1:
-        near = {v, *(int(w) for w in graph.neighbors(v))}
-        found = [ec for ec in found if near.issuperset(ec.vertices)]
-    return found
+    return within_one_hop(graph, v, found) if d == 1 else found
+
+
+def ec_query(orders: Iterable[int], d: Optional[int]) -> frozenset[int]:
+    """The orders of a find_ec_within_distance query as a set; raises unless the
+    orders are a nonempty subset of {2, 3} and d is 1, 2 or None."""
+    orders = frozenset(int(o) for o in orders)
+    if not orders or not orders <= {2, 3}:
+        raise ValueError(f"orders must be a nonempty subset of {{2, 3}}, got {sorted(orders)}")
+    if d is not None and d not in (1, 2):
+        raise ValueError(f"hop distance must be 1, 2, or None, got {d}")
+    return orders
+
+
+def within_one_hop(
+    graph: Graph, v: int, found: Iterable[ExceptionalConfiguration]
+) -> list[ExceptionalConfiguration]:
+    """The configurations among `found` whose vertices all lie in {v} and v's neighbors."""
+    near = {v, *graph.neighbors(v).tolist()}
+    return [ec for ec in found if near.issuperset(ec.vertices)]

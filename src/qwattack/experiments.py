@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .attack import AttackReport, default_t_pen, evaluate_attack
-from .exceptional import ECKind, find_2ec, find_ec_within_distance
+from .exceptional import ECKind, ec_query, find_2ec, find_ec_within_distance, within_one_hop
 from .graphs import MODELS, ModelParams, derive_seed, generate_graph, is_connected
 
 logger = logging.getLogger(__name__)
@@ -79,6 +79,8 @@ class ExperimentConfig:
             raise ValueError("samples_per_n must be positive")
         if self.t_pen is not None and self.t_pen < 1:
             raise ValueError(f"t_pen must be at least 1, got {self.t_pen}")
+        if not self.models:
+            raise ValueError(f"models must name at least one of {MODELS}")
         unknown = set(self.models) - set(MODELS)
         if unknown:
             raise ValueError(f"unknown models {sorted(unknown)}")
@@ -172,18 +174,24 @@ def _formation_counts(params: ModelParams, n: int, specs, samples: int, *seed_pa
     """(EC hits per (orders, d) spec, graph regenerations) over `samples` draws.
 
     Sample i takes the first connected draw seeded by (*seed_parts, i) and one
-    uniform vertex from derive_seed(attempt_seed, 1), and checks every spec at
-    that vertex.
+    uniform vertex from derive_seed(attempt_seed, 1). One scan over the union
+    of the specs' orders at that vertex decides every spec. Every spec is
+    checked before the first draw.
     """
+    queries = [(ec_query(orders, d), d) for orders, d in specs]
+    union = sorted(set().union(*(orders for orders, _ in queries)))
     hits = [0] * len(specs)
     regens = 0
     for i in range(samples):
         attempt, attempt_seed, graph = next(_connected_draws(params, n, *seed_parts, i))
         regens += attempt
         v = int(np.random.default_rng(derive_seed(attempt_seed, 1)).integers(n))
-        for k, (orders, d) in enumerate(specs):
-            if find_ec_within_distance(graph, v, d, orders):
-                hits[k] += 1
+        found = find_ec_within_distance(graph, v, None, union)
+        for k, (orders, d) in enumerate(queries):
+            ecs = [ec for ec in found if ec.order in orders]
+            if d == 1:
+                ecs = within_one_hop(graph, v, ecs)
+            hits[k] += bool(ecs)
     return hits, regens
 
 

@@ -5,6 +5,7 @@ parameters and seed; identical inputs yield identical graphs.
 """
 
 import math
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -167,24 +168,28 @@ def gen_watts_strogatz(n: int, k: int, beta: float, seed: int) -> Graph:
     rng = np.random.default_rng(seed)
     random, integers = rng.random, rng.integers
     half = k // 2
-    # closed neighborhoods: u's own entry makes sorted(closed[u]) what u may not pick
-    closed = [{(u + off) % n for off in range(-half, half + 1)} for u in range(n)]
+    # sorted closed neighborhoods, cut from a doubled ring: row u is what u may not pick
+    ring = list(range(n - half, n)) + list(range(n)) + list(range(half))
+    closed = [sorted(ring[u : u + k + 1]) for u in range(n)]
     # far end of the lattice edge (u, u + off), at [(off - 1) * n + u]; rewiring moves it
     far = [(u + off) % n for off in range(1, half + 1) for u in range(n)]
     for slot in range(half * n):
         u = slot % n
-        if random() >= beta or len(closed[u]) >= n:
+        row = closed[u]
+        if random() >= beta or len(row) >= n:
             continue  # kept, or neighborhood full: nothing to rewire to
-        # the w-th vertex outside closed[u]: step w past each member at or below it
-        w = int(integers(n - len(closed[u])))
-        for x in sorted(closed[u]):
-            if x > w:
-                break
-            w += 1
+        # the w-th vertex outside row: row[i] - i non-members lie below row[i], a count
+        # that never decreases in i, so it is w + i for the first i with row[i] - i > w
+        w = int(integers(n - len(row)))
+        i = bisect_right(row, w)
+        while i < len(row) and row[i] <= w + i:
+            i += 1
+        w += i
         v, far[slot] = far[slot], w
-        closed[u] ^= {v, w}  # u trades v for w
+        row.remove(v)  # u trades v for w
+        insort(row, w)
         closed[v].remove(u)
-        closed[w].add(u)
+        insort(closed[w], u)
     return Graph(n, np.column_stack((np.tile(np.arange(n), half), far)))
 
 
