@@ -156,7 +156,7 @@ def find_ec_within_distance(
     Output is order-2 configurations, then triangles, then paths, each group
     ascending by vertex tuple, as find_2ec and find_3ec list them.
     """
-    orders = ec_query(orders, d)
+    orders = checked_orders(orders, d)
     found: list[ExceptionalConfiguration] = []
     if 2 in orders:
         found.extend(find_2ec(graph, v))
@@ -165,9 +165,9 @@ def find_ec_within_distance(
     return within_one_hop(graph, v, found) if d == 1 else found
 
 
-def ec_query(orders: Iterable[int], d: Optional[int]) -> frozenset[int]:
-    """The orders of a find_ec_within_distance query as a set; raises unless the
-    orders are a nonempty subset of {2, 3} and d is 1, 2 or None."""
+def checked_orders(orders: Iterable[int], d: Optional[int]) -> frozenset[int]:
+    """A find_ec_within_distance query's orders as a set; raises unless they are
+    a nonempty subset of {2, 3} and the hop distance d is 1, 2 or None."""
     orders = frozenset(int(o) for o in orders)
     if not orders or not orders <= {2, 3}:
         raise ValueError(f"orders must be a nonempty subset of {{2, 3}}, got {sorted(orders)}")

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .attack import AttackReport, default_t_pen, evaluate_attack
-from .exceptional import ECKind, ec_query, find_2ec, find_ec_within_distance, within_one_hop
+from .exceptional import ECKind, checked_orders, find_2ec, find_ec_within_distance, within_one_hop
 from .graphs import MODELS, ModelParams, derive_seed, generate_graph, is_connected
 
 logger = logging.getLogger(__name__)
@@ -170,28 +170,34 @@ def _pick_2ec(graph, attempt_seed: int):
     return None, n
 
 
+def _spec_hits(graph, v: int, queries) -> list[bool]:
+    """Whether each (orders, d) query, its orders from checked_orders, finds a
+    configuration at v, all from one scan over the union of their orders."""
+    union = sorted(set().union(*(orders for orders, _ in queries)))
+    found = find_ec_within_distance(graph, v, None, union)
+    hits = []
+    for orders, d in queries:
+        ecs = [ec for ec in found if ec.order in orders]
+        hits.append(bool(within_one_hop(graph, v, ecs) if d == 1 else ecs))
+    return hits
+
+
 def _formation_counts(params: ModelParams, n: int, specs, samples: int, *seed_parts: int):
     """(EC hits per (orders, d) spec, graph regenerations) over `samples` draws.
 
-    Sample i takes the first connected draw seeded by (*seed_parts, i) and one
-    uniform vertex from derive_seed(attempt_seed, 1). One scan over the union
-    of the specs' orders at that vertex decides every spec. Every spec is
-    checked before the first draw.
+    Every spec is checked before the first draw. Sample i takes the first
+    connected draw seeded by (*seed_parts, i) and one uniform vertex from
+    derive_seed(attempt_seed, 1), and one scan at that vertex decides every spec.
     """
-    queries = [(ec_query(orders, d), d) for orders, d in specs]
-    union = sorted(set().union(*(orders for orders, _ in queries)))
+    queries = [(checked_orders(orders, d), d) for orders, d in specs]
     hits = [0] * len(specs)
     regens = 0
     for i in range(samples):
         attempt, attempt_seed, graph = next(_connected_draws(params, n, *seed_parts, i))
         regens += attempt
         v = int(np.random.default_rng(derive_seed(attempt_seed, 1)).integers(n))
-        found = find_ec_within_distance(graph, v, None, union)
-        for k, (orders, d) in enumerate(queries):
-            ecs = [ec for ec in found if ec.order in orders]
-            if d == 1:
-                ecs = within_one_hop(graph, v, ecs)
-            hits[k] += bool(ecs)
+        for k, hit in enumerate(_spec_hits(graph, v, queries)):
+            hits[k] += hit
     return hits, regens
 
 

@@ -339,6 +339,23 @@ class TestFigureCommands:
         order2 = [line for line in flag_out.read_text().splitlines() if ",order2," in line]
         assert order2 == ["er,20,order2,1.0,0.5655175352168251,1.0,5,2,0"]
 
+    @pytest.mark.parametrize("command,value,via_config", [
+        ("fig2", "", False), ("fig1", ",", False), ("fig3", "", False), ("fig1", "", True),
+    ], ids=["fig2-flag", "fig1-flag-comma", "fig3-flag", "fig1-config"])
+    def test_empty_model_set_rejected(self, tmp_path, capsys, command, value, via_config):
+        out = tmp_path / "x.csv"
+        argv = [command, "--n", "20", "--samples", "1", "--seed", "1", "--out", str(out)]
+        if via_config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"model={value}\n")
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--model", value]
+        code, _, err = run_cli(argv, capsys)
+        assert code != 0
+        assert "argument --model" in err
+        assert not out.exists()
+
     def test_conflicting_grid_flags(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["fig1", "--n", "50", "--n-grid", "40:80:40", "--seed", "1", "--out", str(tmp_path / "x.csv")],

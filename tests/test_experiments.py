@@ -6,10 +6,12 @@ import pytest
 
 from qwattack import experiments
 from qwattack.attack import AttackReport
+from qwattack.exceptional import checked_orders, find_ec_within_distance
 from qwattack.experiments import (
     ExperimentConfig,
     Fig2CsvParseError,
     expand_grid,
+    ec_formation_probability,
     fit_loglog,
     read_fig2_csv,
     rederive_fig2_sample,
@@ -21,7 +23,7 @@ from qwattack.experiments import (
     write_fig2_csv,
     write_fig3_csv,
 )
-from qwattack.graphs import ModelParams
+from qwattack.graphs import ModelParams, generate_graph
 
 
 def make_report(model, n, t_base, T_base, T_attacked, seed=0):
@@ -73,6 +75,10 @@ class TestConfig:
             ExperimentConfig(experiment="fig1", n_grid=(2,))
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="fig1", models=("er", "grid"))
+
+    def test_empty_model_set_rejected(self):
+        with pytest.raises(ValueError, match="at least one of"):
+            ExperimentConfig(experiment="fig1", models=())
 
     @pytest.mark.parametrize("t_pen", [0, -3])
     def test_penalty_below_one_rejected(self, t_pen):
@@ -176,6 +182,48 @@ class TestFig1:
         lines = out.read_text().splitlines()
         assert lines[0] == "model,n,panel,probability,ci_low,ci_high,samples,seed,regens"
         assert len(lines) == len(rows) + 1
+
+
+class TestFormationScan:
+    """One EC scan per fig1 sample decides every (orders, d) spec."""
+
+    SPECS = [(orders, d) for orders in ((2,), (3,), (2, 3)) for d in (None, 1, 2)]
+
+    @pytest.mark.parametrize("model", ["er", "ws", "ba"])
+    def test_one_scan_matches_each_query(self, model):
+        queries = [(checked_orders(orders, d), d) for orders, d in self.SPECS]
+        for n, seed in ((12, 1), (12, 2), (30, 3), (30, 4)):
+            g = generate_graph(ModelParams(model), n, seed)
+            for v in range(n):
+                expected = [bool(find_ec_within_distance(g, v, d, orders)) for orders, d in self.SPECS]
+                assert experiments._spec_hits(g, v, queries) == expected, (model, n, seed, v)
+
+    def test_one_scan_per_sample(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return find_ec_within_distance(*args)
+
+        monkeypatch.setattr(experiments, "find_ec_within_distance", counted)
+        run_fig1(ExperimentConfig("fig1", models=("ws",), n_grid=(40, 60), samples_per_n=5, root_seed=2))
+        assert len(calls) == 2 * 5
+        assert all(args[2] is None and list(args[3]) == [2, 3] for args in calls)
+
+    @pytest.mark.parametrize("orders,d,message", [
+        ((2, 3), 5, "hop distance must be 1, 2, or None, got 5"),
+        ((), None, r"orders must be a nonempty subset of \{2, 3\}, got \[\]"),
+        ((4,), None, r"orders must be a nonempty subset of \{2, 3\}, got \[4\]"),
+    ])
+    def test_specs_checked_before_first_draw(self, monkeypatch, orders, d, message):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a graph was drawn before the specs were checked")
+
+        monkeypatch.setattr(experiments, "generate_graph", no_draw)
+        with pytest.raises(ValueError, match=message):
+            ec_formation_probability(ModelParams("er"), 40, orders=orders, d=d, samples=3)
+        with pytest.raises(ValueError, match=message):  # a bad spec after a good one
+            experiments._formation_counts(ModelParams("er"), 40, [((2,), None), (orders, d)], 3, 0)
 
 
 class TestFig2:
