@@ -10,8 +10,8 @@ from qwattack.exceptional import checked_orders, find_ec_within_distance
 from qwattack.experiments import (
     ExperimentConfig,
     Fig2CsvParseError,
-    expand_grid,
     ec_formation_probability,
+    expand_grid,
     fit_loglog,
     read_fig2_csv,
     rederive_fig2_sample,
