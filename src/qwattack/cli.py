@@ -69,20 +69,24 @@ def _require(args: argparse.Namespace, name: str):
 def _parse_models(raw: str) -> tuple[str, ...]:
     models = tuple(m.strip() for m in raw.split(",") if m.strip())
     if not models:
-        raise ValueError(f"no models given; expected among {MODELS}")
+        raise argparse.ArgumentTypeError(f"no models given; expected among {MODELS}")
     unknown = set(models) - set(MODELS)
     if unknown:
-        raise ValueError(f"unknown models {sorted(unknown)}; expected among {MODELS}")
+        raise argparse.ArgumentTypeError(f"unknown models {sorted(unknown)}; expected among {MODELS}")
     return models
 
 
 def _parse_ints(raw: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in raw.split(",") if v.strip())
+    try:
+        return tuple(int(v) for v in raw.split(",") if v.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a comma list of integers, got {raw!r}") from None
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, seed: bool) -> None:
     sub.add_argument("--config", help="key=value file supplying defaults for any flag")
-    sub.add_argument("--seed", type=int, help="root RNG seed (generated and printed if omitted)")
+    if seed:
+        sub.add_argument("--seed", type=int, help="root RNG seed (generated and printed if omitted)")
     sub.add_argument("--out", help="output path (stdout for scan/search/attack if omitted)")
 
 
@@ -104,20 +108,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=MODELS)
     p.add_argument("--n", type=int)
     _add_model_flags(p)
-    _add_common(p)
+    _add_common(p, seed=True)
 
     p = sub.add_parser("scan-ec", help="list exceptional configurations at a vertex")
     p.add_argument("--in", help="edge-list file")
     p.add_argument("--vertex", type=int)
     p.add_argument("--orders", type=_parse_ints, default=(2, 3), help="comma list among 2,3 (default 2,3)")
     p.add_argument("--distance", type=int, choices=(1, 2), help="hop-distance cap (default none)")
-    _add_common(p)
+    _add_common(p, seed=False)
 
     p = sub.add_parser("search", help="success-probability trace of the search walk")
     p.add_argument("--in", help="edge-list file")
     p.add_argument("--marked", type=_parse_ints, help="comma list of marked vertices")
     p.add_argument("--t-max", type=int, dest="t_max")
-    _add_common(p)
+    _add_common(p, seed=False)
 
     p = sub.add_parser("attack", help="attack one marked vertex with a random EC")
     p.add_argument("--in", help="edge-list file")
@@ -125,24 +129,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orders", type=_parse_ints, default=(2,), help="comma list among 2,3 (default 2)")
     p.add_argument("--distance", type=int, choices=(1, 2), help="hop-distance cap (default none)")
     p.add_argument("--t-pen", type=int, dest="t_pen", help="penalty steps (default ceil(ln n))")
-    _add_common(p)
+    _add_common(p, seed=True)
 
-    for name, extra in (("fig1", "EC-formation probabilities"),
-                        ("fig2", "attack and strong-attack efficiencies"),
-                        ("fig3", "complexity-exponent regressions")):
+    for name, extra, samples in (("fig1", "EC-formation probabilities", 50),
+                                 ("fig2", "attack and strong-attack efficiencies", 20)):
         p = sub.add_parser(name, help=extra)
-        p.add_argument("--model", type=_parse_models, help="comma list among er,ws,ba (default all)")
+        p.add_argument("--model", type=_parse_models, default=MODELS, help="comma list among er,ws,ba (default all)")
         p.add_argument("--n", type=int, help="single graph order (shorthand grid)")
         p.add_argument("--n-grid", dest="n_grid", help="start:stop:step, stop inclusive")
-        p.add_argument("--samples", type=int, help="samples per (model, n)")
-        p.add_argument("--workers", type=int, help="process count (default 1)")
-        if name != "fig1":
+        p.add_argument("--samples", type=int, default=samples, help=f"samples per (model, n) (default {samples})")
+        p.add_argument("--workers", type=int, default=1, help="process count (default 1)")
+        if name == "fig2":
             p.add_argument("--t-pen", type=int, dest="t_pen", help="penalty steps (default ceil(ln n))")
-        if name == "fig3":
-            p.add_argument("--in", help="existing fig2 CSV to regress instead of running a sweep")
-            p.add_argument("--samples-out", dest="samples_out", help="also write the underlying fig2 CSV here")
         _add_model_flags(p)
-        _add_common(p)
+        _add_common(p, seed=True)
+
+    p = sub.add_parser("fig3", help="complexity-exponent regressions of a fig2 CSV")
+    p.add_argument("--in", help="fig2 CSV to regress")
+    p.add_argument("--model", type=_parse_models, help="comma list among er,ws,ba (default the CSV's models)")
+    _add_common(p, seed=False)
 
     return parser
 
@@ -218,18 +223,15 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 def _experiment_config(name: str, args: argparse.Namespace) -> ExperimentConfig:
     if args.n is not None and args.n_grid is not None:
         raise ValueError("give either --n or --n-grid, not both")
-    grid = () if args.n_grid is None else expand_grid(args.n_grid)
-    if args.n is not None:
-        grid = (args.n,)
-    default_samples = 50 if name == "fig1" else 20
+    grid = expand_grid(args.n_grid or ()) if args.n is None else (args.n,)
     return ExperimentConfig(
         experiment=name,
-        models=MODELS if args.model is None else args.model,
+        models=args.model,
         n_grid=grid,
-        samples_per_n=default_samples if args.samples is None else args.samples,
+        samples_per_n=args.samples,
         t_pen=getattr(args, "t_pen", None),
         root_seed=_resolve_seed(args),
-        workers=1 if args.workers is None else args.workers,
+        workers=args.workers,
         **_model_values(args),
     )
 
@@ -257,28 +259,14 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
     return 0
 
 
-# the options that shape a sweep, which fig3 --in does not run
-_SWEEP_OPTIONS = ("n", "n-grid", "samples", "t-pen", "workers", "seed", "p", "k", "beta", "m0")
-
-
 def _cmd_fig3(args: argparse.Namespace) -> int:
-    out = _require(args, "out")
-    infile = getattr(args, "in")
-    if infile is None:
-        labeled, reports = run_fig3(_experiment_config("fig3", args))
-    else:
-        given = [f"--{name}" for name in _SWEEP_OPTIONS if getattr(args, name.replace("-", "_")) is not None]
-        if given:
-            raise ValueError(f"--in regresses {infile} and runs no sweep; drop {', '.join(given)}")
-        reports = read_fig2_csv(infile)
-        present = tuple(m for m in MODELS if any(r.model == m for r in reports))
-        if not present:
-            raise ValueError(f"{infile} has no rows of the models {', '.join(MODELS)}")
-        models = present if args.model is None else args.model
-        labeled, reports = run_fig3(ExperimentConfig("fig3", models=models), reports)
+    infile, out = (_require(args, name) for name in ("in", "out"))
+    reports = read_fig2_csv(infile)
+    present = tuple(m for m in MODELS if any(r.model == m for r in reports))
+    if not present:
+        raise ValueError(f"{infile} has no rows of the models {', '.join(MODELS)}")
+    labeled = run_fig3(reports, present if args.model is None else args.model)
     write_fig3_csv(labeled, out)
-    if args.samples_out:
-        write_fig2_csv(reports, args.samples_out)
     for model, variant, res in labeled:
         print(f"fig3: {model} {variant}: alpha={res.alpha:.4f} (rse {res.rse:.4f})", file=sys.stderr)
     return 0

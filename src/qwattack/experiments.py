@@ -13,7 +13,7 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -362,19 +362,10 @@ def regress_reports(reports: Sequence[AttackReport], models: Sequence[str]) -> l
     return out
 
 
-def run_fig3(
-    config: ExperimentConfig, reports: Optional[Sequence[AttackReport]] = None
-) -> tuple[list[tuple[str, str, RegressionResult]], list[AttackReport]]:
-    """Complexity-exponent regressions from a fig2-style sweep.
-
-    Runs the sweep unless reports are supplied. Returns labeled regressions
-    [(model, variant, result)] plus the underlying reports.
-    """
-    if reports is None:
-        reports = run_fig2(replace(config, experiment="fig2"))
-    results = iter(regress_reports(reports, config.models))
-    labeled = [(model, variant, next(results)) for model in config.models for variant in ("ref", "attacked")]
-    return labeled, list(reports)
+def run_fig3(reports: Sequence[AttackReport], models: Sequence[str]) -> list[tuple[str, str, RegressionResult]]:
+    """Complexity exponents of fig2 reports: regress_reports labeled [(model, variant, result)]."""
+    results = iter(regress_reports(reports, models))
+    return [(model, variant, next(results)) for model in models for variant in ("ref", "attacked")]
 
 
 def csv_field(value) -> str:

@@ -1,9 +1,15 @@
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
 from _oracles import cycle, star
 from qwattack import cli
-from qwattack.cli import cli_main
+from qwattack.cli import build_parser, cli_main
 from qwattack.graphs import read_edge_list, write_edge_list
+
+REPO_DIR = Path(__file__).resolve().parent.parent
 
 
 def run_cli(argv, capsys):
@@ -137,6 +143,29 @@ class TestUsage:
         code, _, _ = run_cli(["generate", "--model", "er", "--n", "abc"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["scan-ec", "search", "fig3"])
+    def test_seed_only_on_commands_that_draw(self, tmp_path, capsys, command):
+        out = tmp_path / "x.out"
+        code, _, err = run_cli([command, "--seed", "1", "--out", str(out)], capsys)
+        assert code == 2
+        assert "unrecognized arguments: --seed 1" in err
+        assert not out.exists()
+
+    def test_fig3_help_lists_its_four_flags(self, capsys):
+        code, out, _ = run_cli(["fig3", "--help"], capsys)
+        assert code == 0
+        assert set(re.findall(r"--[a-z][\w-]*", out)) == {"--help", "--in", "--model", "--config", "--out"}
+
+
+def test_readme_commands_parse():
+    # the qwattack lines of README's "Command line" sh block; parsing runs no command
+    text = (REPO_DIR / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("qwattack ")]
+    assert {argv[1] for argv in commands} == set(cli._COMMANDS)
+    for argv in commands:
+        build_parser().parse_args(argv[1:])
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_win(self, tmp_path, capsys):
@@ -176,8 +205,14 @@ class TestConfigFile:
             (["generate", "--model", "er"], "n", "abc", "argument --n: invalid int value: 'abc'"),
             (["generate", "--n", "20"], "model", "zz", "argument --model: invalid choice: 'zz'"),
             (["scan-ec", "--in", "g.edges", "--vertex", "3"], "distance", "5", "argument --distance: invalid choice: 5"),
+            (["fig2", "--n", "20"], "model", "zz",
+             "argument --model: unknown models ['zz']; expected among ('er', 'ws', 'ba')"),
+            (["fig1", "--n", "20"], "model", "",
+             "argument --model: no models given; expected among ('er', 'ws', 'ba')"),
+            (["scan-ec", "--in", "g.edges", "--vertex", "3"], "orders", "2,x",
+             "argument --orders: expected a comma list of integers, got '2,x'"),
         ],
-        ids=["generate-n", "generate-model", "scan-ec-distance"],
+        ids=["generate-n", "generate-model", "scan-ec-distance", "fig2-model", "fig1-empty-model", "scan-ec-orders"],
     )
     def test_bad_config_value_is_a_usage_error_like_the_flag(self, tmp_path, capsys, argv, key, value, message):
         out = tmp_path / "x.out"
@@ -190,7 +225,9 @@ class TestConfigFile:
             assert "seed:" not in err
             assert not out.exists()
 
-    @pytest.mark.parametrize("command,key", [("fig1", "sample"), ("scan-ec", "infile"), ("generate", "config")])
+    @pytest.mark.parametrize(
+        "command,key", [("fig1", "sample"), ("scan-ec", "infile"), ("generate", "config"), ("scan-ec", "seed")]
+    )
     def test_unknown_config_key_rejected(self, tmp_path, capsys, command, key):
         out = tmp_path / "x.csv"
         cfg = tmp_path / "run.cfg"
@@ -285,17 +322,12 @@ class TestFigureCommands:
 
     def test_fig3_in_rejects_sweep_flags(self, tmp_path, capsys, ba_ws_csv):
         out = tmp_path / "fig3.csv"
-        code, _, err = run_cli(
-            [
-                "fig3", "--in", str(ba_ws_csv), "--n-grid", "100:200:100", "--samples", "7",
-                "--workers", "3", "--seed", "5", "--m0", "2", "--out", str(out),
-            ],
-            capsys,
-        )
-        assert code == 1
-        assert "drop --n-grid, --samples, --workers, --seed, --m0" in err
-        assert "seed:" not in err
-        assert not out.exists()
+        for flag, value in (("--n-grid", "100:200:100"), ("--samples", "7"), ("--workers", "3"),
+                            ("--t-pen", "4"), ("--m0", "2")):
+            code, _, err = run_cli(["fig3", "--in", str(ba_ws_csv), flag, value, "--out", str(out)], capsys)
+            assert code == 2
+            assert f"unrecognized arguments: {flag} {value}" in err
+            assert not out.exists()
 
     def test_fig3_in_rejects_sweep_config_keys(self, tmp_path, capsys, ba_ws_csv):
         out = tmp_path / "fig3.csv"
@@ -303,8 +335,22 @@ class TestFigureCommands:
         cfg.write_text(f"in={ba_ws_csv}\nn=100\nt-pen=4\np=0.5\n")
         code, _, err = run_cli(["fig3", "--config", str(cfg), "--out", str(out)], capsys)
         assert code == 1
-        assert "drop --n, --t-pen, --p" in err
+        assert "unknown config keys ['n', 'p', 't-pen'] for fig3" in err
         assert not out.exists()
+
+    def test_fig3_without_in(self, tmp_path, capsys):
+        out = tmp_path / "fig3.csv"
+        code, _, err = run_cli(["fig3", "--out", str(out)], capsys)
+        assert code == 1
+        assert "missing required option --in" in err
+        assert not out.exists()
+
+    def test_fig2_then_fig3_reproduces_the_golden(self, tmp_path, capsys):
+        fig2_out, fig3_out = tmp_path / "fig2.csv", tmp_path / "fig3.csv"
+        argv = ["fig2", "--model", "er,ws,ba", "--n-grid", "60:120:30", "--samples", "2", "--seed", "1"]
+        assert run_cli([*argv, "--out", str(fig2_out)], capsys)[0] == 0
+        assert run_cli(["fig3", "--in", str(fig2_out), "--out", str(fig3_out)], capsys)[0] == 0
+        assert fig3_out.read_bytes() == (REPO_DIR / "tests" / "golden" / "fig3.csv").read_bytes()
 
     def test_fig2_single_n_shorthand(self, tmp_path, capsys):
         out = tmp_path / "fig2.csv"
@@ -315,7 +361,7 @@ class TestFigureCommands:
         assert code == 0
         assert len(out.read_text().splitlines()) == 3
 
-    @pytest.mark.parametrize("command", ["fig1", "fig2", "fig3"])
+    @pytest.mark.parametrize("command", ["fig1", "fig2"])
     def test_model_flags_are_accepted(self, tmp_path, capsys, command):
         out = tmp_path / "x.csv"
         code, _, err = run_cli(

@@ -400,10 +400,10 @@ class TestFig3:
         for n in (100, 200, 400):
             for model in ("er", "ws"):
                 reports.append(make_report(model, n, 4, 3.0 * n ** 0.4, 0.5 * n ** 0.9))
-        cfg = ExperimentConfig(experiment="fig3", models=("er", "ws"), n_grid=(100, 200, 400))
-        labeled, back = run_fig3(cfg, reports)
-        assert back == reports
-        assert len(labeled) == 4
+        labeled = run_fig3(reports, ("er", "ws"))
+        assert [(m, v) for m, v, _ in labeled] == [
+            ("er", "ref"), ("er", "attacked"), ("ws", "ref"), ("ws", "attacked"),
+        ]
         for model, variant, res in labeled:
             expected = 0.4 if variant == "ref" else 0.9
             assert res.alpha == pytest.approx(expected, abs=1e-12)
@@ -413,8 +413,9 @@ class TestFig3:
             experiment="fig3", models=("er",), n_grid=(40, 60, 80),
             samples_per_n=2, root_seed=1,
         )
-        labeled, reports = run_fig3(cfg)
+        reports = run_fig2(cfg)
         assert len(reports) == 6
+        labeled = run_fig3(reports, cfg.models)
         assert {(m, v) for m, v, _ in labeled} == {("er", "ref"), ("er", "attacked")}
         out = tmp_path / "fig3.csv"
         write_fig3_csv(labeled, out)

@@ -108,7 +108,7 @@ def write_goldens(directory: Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     write_fig2_csv(run_fig2(FIG2_CONFIG), directory / "fig2.csv")
     write_fig1_csv(run_fig1(FIG1_CONFIG), directory / "fig1.csv")
-    write_fig3_csv(run_fig3(FIG3_CONFIG)[0], directory / "fig3.csv")
+    write_fig3_csv(run_fig3(run_fig2(FIG3_CONFIG), FIG3_CONFIG.models), directory / "fig3.csv")
     with open(directory / "traces.json", "w", encoding="ascii", newline="\n") as fh:
         json.dump(trace_digests(), fh, indent=1)
         fh.write("\n")
@@ -131,7 +131,7 @@ def test_fig1_csv_matches_golden(tmp_path):
 
 def test_fig3_csv_matches_golden(tmp_path):
     out = tmp_path / "fig3.csv"
-    write_fig3_csv(run_fig3(FIG3_CONFIG)[0], out)
+    write_fig3_csv(run_fig3(run_fig2(FIG3_CONFIG), FIG3_CONFIG.models), out)
     assert out.read_bytes() == (GOLDEN_DIR / "fig3.csv").read_bytes()
 
 
