@@ -83,11 +83,22 @@ def _parse_ints(raw: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected a comma list of integers, got {raw!r}") from None
 
 
-def _add_common(sub: argparse.ArgumentParser, seed: bool) -> None:
+def _add_common(sub: argparse.ArgumentParser, seed: bool, stdout: bool) -> None:
     sub.add_argument("--config", help="key=value file supplying defaults for any flag")
     if seed:
         sub.add_argument("--seed", type=int, help="root RNG seed (generated and printed if omitted)")
-    sub.add_argument("--out", help="output path (stdout for scan/search/attack if omitted)")
+    sub.add_argument("--out", help="output path (stdout if omitted)" if stdout else "output path (required)")
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: a flag it lacks is a usage error under its own usage line,
+    not passed up to the top-level parser's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def _add_model_flags(sub: argparse.ArgumentParser) -> None:
@@ -102,26 +113,26 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qwattack",
         description="Szegedy spatial-search simulation and exceptional-configuration attacks",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     p = sub.add_parser("generate", help="draw one random graph and write its edge list")
     p.add_argument("--model", choices=MODELS)
     p.add_argument("--n", type=int)
     _add_model_flags(p)
-    _add_common(p, seed=True)
+    _add_common(p, seed=True, stdout=False)
 
     p = sub.add_parser("scan-ec", help="list exceptional configurations at a vertex")
     p.add_argument("--in", help="edge-list file")
     p.add_argument("--vertex", type=int)
     p.add_argument("--orders", type=_parse_ints, default=(2, 3), help="comma list among 2,3 (default 2,3)")
     p.add_argument("--distance", type=int, choices=(1, 2), help="hop-distance cap (default none)")
-    _add_common(p, seed=False)
+    _add_common(p, seed=False, stdout=True)
 
     p = sub.add_parser("search", help="success-probability trace of the search walk")
     p.add_argument("--in", help="edge-list file")
     p.add_argument("--marked", type=_parse_ints, help="comma list of marked vertices")
     p.add_argument("--t-max", type=int, dest="t_max")
-    _add_common(p, seed=False)
+    _add_common(p, seed=False, stdout=True)
 
     p = sub.add_parser("attack", help="attack one marked vertex with a random EC")
     p.add_argument("--in", help="edge-list file")
@@ -129,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orders", type=_parse_ints, default=(2,), help="comma list among 2,3 (default 2)")
     p.add_argument("--distance", type=int, choices=(1, 2), help="hop-distance cap (default none)")
     p.add_argument("--t-pen", type=int, dest="t_pen", help="penalty steps (default ceil(ln n))")
-    _add_common(p, seed=True)
+    _add_common(p, seed=True, stdout=True)
 
     for name, extra, samples in (("fig1", "EC-formation probabilities", 50),
                                  ("fig2", "attack and strong-attack efficiencies", 20)):
@@ -142,12 +153,12 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "fig2":
             p.add_argument("--t-pen", type=int, dest="t_pen", help="penalty steps (default ceil(ln n))")
         _add_model_flags(p)
-        _add_common(p, seed=True)
+        _add_common(p, seed=True, stdout=False)
 
     p = sub.add_parser("fig3", help="complexity-exponent regressions of a fig2 CSV")
     p.add_argument("--in", help="fig2 CSV to regress")
     p.add_argument("--model", type=_parse_models, help="comma list among er,ws,ba (default the CSV's models)")
-    _add_common(p, seed=False)
+    _add_common(p, seed=False, stdout=False)
 
     return parser
 

@@ -7,6 +7,7 @@ parameters and seed; identical inputs yield identical graphs.
 import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -151,6 +152,51 @@ def gen_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     return Graph(n, np.column_stack((u, flat - row_start[u] + u + 1)))
 
 
+_RAW_CHUNK = 1024  # words per random_raw call: bounded, so a draw's memory does not grow with n
+
+
+def _pcg64_replay(seed: int):
+    """(random, integers): np.random.default_rng(seed)'s random() and integers(m),
+    replayed in plain Python from its PCG64 bit generator's random_raw words.
+
+    Each call returns what the same sequence of calls on the Generator would,
+    at a fraction of numpy's per-call cost. It replays numpy 2.4.6:
+    - a double is (word >> 11) * 2**-53;
+    - next_uint32 hands out a word's low 32 bits first and caches the high 32
+      bits for the next 32-bit draw; doubles never touch that cache;
+    - integers(m) for 2 <= m < 2**32 is Lemire's bounded draw: prod = r * m
+      for a 32-bit r, accepted when prod & 0xFFFFFFFF >= m or, failing that,
+      when it is >= 2**32 % m, and the result is prod >> 32;
+    - integers(1) returns 0 and draws nothing.
+    tests/test_graphs.py checks this against the Generator call for call.
+    """
+    bits = np.random.default_rng(seed).bit_generator
+    words = chain.from_iterable(iter(lambda: bits.random_raw(_RAW_CHUNK).tolist(), None))
+    high = None  # the cached high half of the last word next_uint32 split
+
+    def random() -> float:
+        return (next(words) >> 11) * 2.0**-53
+
+    def integers(m: int) -> int:
+        nonlocal high
+        if not 1 <= m <= 0xFFFFFFFF:
+            raise ValueError(f"bound must be in [1, 2**32 - 1], got {m}")
+        if m == 1:
+            return 0
+        while True:
+            if high is None:
+                word = next(words)
+                r, high = word & 0xFFFFFFFF, word >> 32
+            else:
+                r, high = high, None
+            prod = r * m
+            low = prod & 0xFFFFFFFF
+            if low >= m or low >= (1 << 32) % m:
+                return prod >> 32
+
+    return random, integers
+
+
 def gen_watts_strogatz(n: int, k: int, beta: float, seed: int) -> Graph:
     """Watts-Strogatz ring lattice with independent edge rewiring.
 
@@ -165,8 +211,7 @@ def gen_watts_strogatz(n: int, k: int, beta: float, seed: int) -> Graph:
         raise ValueError(f"initial degree must satisfy 2 <= k < n, got k={k}, n={n}")
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"rewiring probability must be in [0, 1], got {beta}")
-    rng = np.random.default_rng(seed)
-    random, integers = rng.random, rng.integers
+    random, integers = _pcg64_replay(seed)
     half = k // 2
     # sorted closed neighborhoods, cut from a doubled ring: row u is what u may not pick
     ring = list(range(n - half, n)) + list(range(n)) + list(range(half))
@@ -180,7 +225,7 @@ def gen_watts_strogatz(n: int, k: int, beta: float, seed: int) -> Graph:
             continue  # kept, or neighborhood full: nothing to rewire to
         # the w-th vertex outside row: row[i] - i non-members lie below row[i], a count
         # that never decreases in i, so it is w + i for the first i with row[i] - i > w
-        w = int(integers(n - len(row)))
+        w = integers(n - len(row))
         i = bisect_right(row, w)
         while i < len(row) and row[i] <= w + i:
             i += 1

@@ -145,11 +145,26 @@ class TestUsage:
 
     @pytest.mark.parametrize("command", ["scan-ec", "search", "fig3"])
     def test_seed_only_on_commands_that_draw(self, tmp_path, capsys, command):
+        # the command's own parser reports the flag, under the command's usage line,
+        # also when --out comes from a config file
         out = tmp_path / "x.out"
-        code, _, err = run_cli([command, "--seed", "1", "--out", str(out)], capsys)
-        assert code == 2
-        assert "unrecognized arguments: --seed 1" in err
-        assert not out.exists()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out={out}\n")
+        for given in (["--out", str(out)], ["--config", str(cfg)]):
+            code, _, err = run_cli([command, *given, "--seed", "1"], capsys)
+            assert code == 2
+            assert err.startswith(f"usage: qwattack {command} [-h]")
+            assert f"qwattack {command}: error: unrecognized arguments: --seed 1" in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command, wording", [
+        ("generate", "required"), ("fig1", "required"), ("fig2", "required"), ("fig3", "required"),
+        ("scan-ec", "stdout if omitted"), ("search", "stdout if omitted"), ("attack", "stdout if omitted"),
+    ])
+    def test_out_help_says_required_or_stdout(self, capsys, command, wording):
+        code, out, _ = run_cli([command, "--help"], capsys)
+        assert code == 0
+        assert f"--out OUT output path ({wording}) " in " ".join(out.split()) + " "
 
     def test_fig3_help_lists_its_four_flags(self, capsys):
         code, out, _ = run_cli(["fig3", "--help"], capsys)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import strategies as st
 
 from _oracles import connected_by_bfs, connected_by_union_find, cycle, reference_rows, star, ws_reference
 from qwattack.graphs import (
+    _RAW_CHUNK,
     EdgeListParseError,
     Graph,
     ModelParams,
+    _pcg64_replay,
     default_er_p,
     default_ws_k,
     derive_seed,
@@ -143,6 +146,48 @@ class TestWattsStrogatzAgainstReference:
         for beta, seed in ((0.5, derive_seed(n, 0)), (1.0, derive_seed(n, 1))):
             k = default_ws_k(n)
             assert gen_watts_strogatz(n, k, beta, seed) == ws_reference(n, k, beta, seed), (n, k, beta, seed)
+
+
+# 1 draws nothing; Lemire's method rejects about half the draws at 2**31 + 1, a quarter
+# at 3 * 2**30 + 5 and almost none at 2**32 - 1
+BOUNDS = (1, 2, 7, 2**31 + 1, 3 * 2**30 + 5, 2**32 - 1)
+
+
+def replay_matches_numpy(seed, order, draws, p_double):
+    """Drive _pcg64_replay and a real Generator through one interleaving of random()
+    and integers(m), draws calls in all; return a lower bound on the 64-bit words used."""
+    rng = np.random.default_rng(seed)
+    double, bounded = _pcg64_replay(seed)
+    doubles = halves = 0
+    for i in range(draws):
+        if order.random() < p_double:
+            assert double() == rng.random(), (seed, i)
+            doubles += 1
+        else:
+            m = order.choice(BOUNDS) if order.random() < 0.5 else order.randint(2, 5000)
+            assert bounded(m) == rng.integers(m), (seed, i, m)
+            halves += m > 1
+    return doubles + halves // 2
+
+
+class TestPcg64Replay:
+    """_pcg64_replay against np.random.default_rng, call for call."""
+
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 2**32 - 1), st.floats(0.25, 0.75))
+    @settings(max_examples=30, deadline=None)
+    def test_interleaved_draws(self, seed, order_seed, p_double):
+        words = replay_matches_numpy(seed, random.Random(order_seed), 6 * _RAW_CHUNK, p_double)
+        assert words > 2 * _RAW_CHUNK  # the replay refilled its chunk at least twice
+
+    @pytest.mark.parametrize("m", [0, -1, 2**32, 2**40])
+    def test_bound_out_of_range(self, m):
+        _, integers = _pcg64_replay(0)
+        with pytest.raises(ValueError, match="bound"):
+            integers(m)
+
+    @pytest.mark.slow
+    def test_million_draws(self):
+        assert replay_matches_numpy(derive_seed(5), random.Random(5), 10**6, 0.5) > 10**5
 
 
 class TestBarabasiAlbert:
