@@ -10,7 +10,7 @@ lets the defender re-optimize the measurement time on the attacked instance.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from numbers import Real
 from typing import Iterable, NamedTuple, Sequence
 
@@ -129,7 +129,11 @@ def optimize_measurement_time(
 
 @dataclass(frozen=True)
 class AttackReport:
-    """One attacked instance, flattened to the experiment CSV row schema."""
+    """One attacked instance, flattened to the experiment CSV row schema.
+
+    Construction rejects NaN, probabilities out of range, negative orders,
+    times and runtimes, and an eff or T_opt inconsistent with the rest.
+    """
 
     model: str
     n: int
@@ -151,10 +155,19 @@ class AttackReport:
     anchor_retries: int = 0
 
     def __post_init__(self):
-        if self.p_base > 0 and self.p_attacked >= 0:
-            drift = abs(self.eff - (1.0 - self.p_attacked / self.p_base))
-            if drift > 1e-12:
-                raise ValueError(f"eff inconsistent with probabilities (drift {drift})")
+        nan = [f.name for f in fields(self) if f.type is float and math.isnan(getattr(self, f.name))]
+        if nan:
+            raise ValueError(f"{', '.join(nan)} must not be NaN")
+        if not 0 < self.p_base <= 1:
+            raise ValueError(f"p_base must be in (0, 1], got {self.p_base}")
+        if not 0 <= self.p_attacked <= 1:
+            raise ValueError(f"p_attacked must be in [0, 1], got {self.p_attacked}")
+        for name in ("n", "t_base", "T_base", "T_attacked", "t_opt", "T_opt", "t_pen"):
+            if getattr(self, name) < 0:  # a T field may be inf
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        drift = abs(self.eff - (1.0 - self.p_attacked / self.p_base))
+        if drift > 1e-12:
+            raise ValueError(f"eff inconsistent with probabilities (drift {drift})")
         if self.T_opt > self.T_attacked * (1 + 1e-12):
             raise ValueError("re-optimized runtime exceeds the attacked runtime")
 

@@ -18,14 +18,7 @@ import numpy as np
 
 from .attack import default_t_pen, evaluate_attack
 from .exceptional import find_ec_within_distance
-from .graphs import (
-    MODELS,
-    EdgeListParseError,
-    ModelParams,
-    generate_graph,
-    read_edge_list,
-    write_edge_list,
-)
+from .graphs import MODELS, ModelParams, generate_graph, read_edge_list, write_edge_list
 from .experiments import (
     CSV_COLUMNS,
     PANELS,
@@ -319,7 +312,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, RuntimeError, ArithmeticError, EdgeListParseError) as exc:
+    except (ValueError, OSError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -86,6 +86,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown models {sorted(unknown)}")
         if self.workers < 1:
             raise ValueError("workers must be positive")
+        for model in self.models:  # every cell's draw parameters, before the first draw
+            params = self.model_params(model)
+            for n in self.n_grid:
+                params.check(n)
 
     def model_params(self, model: str) -> ModelParams:
         return ModelParams(model, self.er_p, self.ws_k, self.ws_beta, self.ba_m0)
@@ -201,16 +205,19 @@ def _formation_counts(params: ModelParams, n: int, specs, samples: int, *seed_pa
     return hits, regens
 
 
-def wilson_interval(successes: int, total: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (default 95%)."""
+_Z95 = 1.959963984540054  # the standard normal's 97.5% quantile
+
+
+def wilson_interval(successes: int, total: int) -> tuple[float, float]:
+    """Wilson 95% score interval for a binomial proportion."""
     if total < 1:
         raise ValueError("total must be positive")
     if not 0 <= successes <= total:
         raise ValueError(f"successes {successes} out of range for total {total}")
     phat = successes / total
-    denom = 1.0 + z * z / total
-    center = (phat + z * z / (2 * total)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / total + z * z / (4 * total * total)) / denom
+    denom = 1.0 + _Z95 * _Z95 / total
+    center = (phat + _Z95 * _Z95 / (2 * total)) / denom
+    half = _Z95 * math.sqrt(phat * (1 - phat) / total + _Z95 * _Z95 / (4 * total * total)) / denom
     return max(0.0, center - half), min(1.0, center + half)
 
 
@@ -279,20 +286,15 @@ def _fig2_sample(task) -> AttackReport:
                                    graph_regens=attempt, anchor_retries=anchor_retries)
 
 
-def rederive_fig2_sample(model: str, n: int, attempt_seed: int, t_pen: int,
-                         params: Optional[ModelParams] = None) -> AttackReport:
+def rederive_fig2_sample(params: ModelParams, n: int, attempt_seed: int, t_pen: int) -> AttackReport:
     """Reproduce a fig2 row from its recorded seed (resample counters reset)."""
-    if params is None:
-        params = ModelParams(model=model)
-    elif params.model != model:
-        raise ValueError(f"row model {model!r} disagrees with params model {params.model!r}")
     graph = generate_graph(params, n, seed=derive_seed(attempt_seed, 0))
     if not is_connected(graph):
         raise ValueError("recorded seed does not yield a connected graph")
     ec, _ = _pick_2ec(graph, attempt_seed)
     if ec is None:
         raise ValueError("recorded seed does not yield a 2EC anchor")
-    return evaluate_attack(graph, {ec.anchor}, ec, t_pen, model=model, seed=attempt_seed)
+    return evaluate_attack(graph, {ec.anchor}, ec, t_pen, model=params.model, seed=attempt_seed)
 
 
 def run_fig2(config: ExperimentConfig) -> list[AttackReport]:

@@ -132,16 +132,34 @@ def default_ws_k(n: int) -> int:
     return k if k % 2 == 0 else k + 1
 
 
+def _check_er(n: int, p: float) -> None:
+    if n < 2:
+        raise ValueError(f"need at least 2 vertices, got {n}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"edge probability must be in [0, 1], got {p}")
+
+
+def _check_ws(n: int, k: int, beta: float) -> None:
+    if k % 2 != 0:
+        raise ValueError(f"initial degree must be even, got {k}")
+    if not 2 <= k < n:
+        raise ValueError(f"initial degree must satisfy 2 <= k < n, got k={k}, n={n}")
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError(f"rewiring probability must be in [0, 1], got {beta}")
+
+
+def _check_ba(n: int, m0: int) -> None:
+    if not 1 <= m0 < n:
+        raise ValueError(f"attachment count must satisfy 1 <= m0 < n, got m0={m0}, n={n}")
+
+
 def gen_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """G(n, p): each of the n(n-1)/2 edges present independently with probability p.
 
     One double per pair in row order (0, 1), ..., (0, n-1), (1, 2), ..., drawn
     in blocks of 2**16, which take the same numbers from the stream as one
     draw per row would."""
-    if n < 2:
-        raise ValueError(f"need at least 2 vertices, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must be in [0, 1], got {p}")
+    _check_er(n, p)
     rng = np.random.default_rng(seed)
     rows = np.arange(n - 1)
     row_start = rows * (n - 1) - rows * (rows - 1) // 2  # flat index of pair (u, u+1)
@@ -205,12 +223,7 @@ def gen_watts_strogatz(n: int, k: int, beta: float, seed: int) -> Graph:
     its far endpoint to a uniformly random non-neighbor. The edge count is
     exactly n*k/2 for every beta.
     """
-    if k % 2 != 0:
-        raise ValueError(f"initial degree must be even, got {k}")
-    if not 2 <= k < n:
-        raise ValueError(f"initial degree must satisfy 2 <= k < n, got k={k}, n={n}")
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"rewiring probability must be in [0, 1], got {beta}")
+    _check_ws(n, k, beta)
     random, integers = _pcg64_replay(seed)
     half = k // 2
     # sorted closed neighborhoods, cut from a doubled ring: row u is what u may not pick
@@ -246,8 +259,7 @@ def gen_barabasi_albert(n: int, m0: int, seed: int) -> Graph:
     numpy 2's Generator.choice(v, m0, replace=False, p=...) samples: draw the
     missing picks, zero the found ones' weight, search the renormalised
     cumulative weights, keep first occurrences in draw order, repeat."""
-    if not 1 <= m0 < n:
-        raise ValueError(f"attachment count must satisfy 1 <= m0 < n, got m0={m0}, n={n}")
+    _check_ba(n, m0)
     rng = np.random.default_rng(seed)
     edges = [(i, j) for i in range(m0 + 1) for j in range(i + 1, m0 + 1)]
     degrees = np.zeros(n, dtype=np.float64)
@@ -287,16 +299,27 @@ class ModelParams:
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}, expected one of {MODELS}")
 
+    def _resolved(self, n: int) -> tuple:
+        """The model's generator parameters at order n, None fields by the default
+        rules: (p,) for er, (k, beta) for ws, (m0,) for ba."""
+        if self.model == "er":
+            return (default_er_p(n) if self.er_p is None else self.er_p,)
+        if self.model == "ws":
+            return default_ws_k(n) if self.ws_k is None else self.ws_k, self.ws_beta
+        return (self.ba_m0,)
+
+    def check(self, n: int) -> None:
+        """Raise the ValueError a draw of order n would raise for these parameters."""
+        _CHECKS[self.model](n, *self._resolved(n))
+
+
+_CHECKS = {"er": _check_er, "ws": _check_ws, "ba": _check_ba}
+_GENERATORS = {"er": gen_erdos_renyi, "ws": gen_watts_strogatz, "ba": gen_barabasi_albert}
+
 
 def generate_graph(params: ModelParams, n: int, seed: int) -> Graph:
     """Draw one graph of order n from the parametrized random model."""
-    if params.model == "er":
-        p = default_er_p(n) if params.er_p is None else params.er_p
-        return gen_erdos_renyi(n, p, seed)
-    if params.model == "ws":
-        k = default_ws_k(n) if params.ws_k is None else params.ws_k
-        return gen_watts_strogatz(n, k, params.ws_beta, seed)
-    return gen_barabasi_albert(n, params.ba_m0, seed)
+    return _GENERATORS[params.model](n, *params._resolved(n), seed)
 
 
 def is_connected(graph: Graph) -> bool:

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from _oracles import cycle, star
-from qwattack import cli
+from qwattack import cli, experiments
 from qwattack.cli import build_parser, cli_main
 from qwattack.graphs import read_edge_list, write_edge_list
 
@@ -286,6 +286,21 @@ class TestFigureCommands:
         )
         assert code == 1
         assert "t_pen must be at least 1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["fig1", "--model", "er,ws", "--n-grid", "4:6:1"], "2 <= k < n, got k=4, n=4"),
+        (["fig2", "--model", "ba", "--n", "4", "--m0", "4"], "1 <= m0 < n, got m0=4, n=4"),
+    ], ids=["fig1-ws-default-k", "fig2-ba-m0"])
+    def test_model_parameters_checked_before_any_draw(self, tmp_path, monkeypatch, capsys, argv, message):
+        def draw(*args, **kwargs):
+            raise AssertionError("a graph was drawn")
+
+        monkeypatch.setattr(experiments, "generate_graph", draw)
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli([*argv, "--samples", "1", "--seed", "1", "--out", str(out)], capsys)
+        assert code == 1
+        assert message in err
         assert not out.exists()
 
     def test_fig2_and_fig3_pipeline(self, tmp_path, capsys):

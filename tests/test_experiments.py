@@ -85,6 +85,22 @@ class TestConfig:
         with pytest.raises(ValueError, match="t_pen must be at least 1"):
             ExperimentConfig(experiment="fig2", n_grid=(60,), t_pen=t_pen)
 
+    @pytest.mark.parametrize("models,n_grid,params,message", [
+        (("ws",), (4,), {}, r"2 <= k < n, got k=4, n=4"),  # the default k at n = 4
+        (("ba",), (4,), {"ba_m0": 4}, r"1 <= m0 < n, got m0=4, n=4"),
+        (("ws",), (60,), {"ws_k": 3}, "must be even, got 3"),
+        (("ws",), (60,), {"ws_beta": 1.5}, r"rewiring probability must be in \[0, 1\], got 1.5"),
+        (("er",), (60,), {"er_p": 2.0}, r"edge probability must be in \[0, 1\], got 2.0"),
+        (("er", "ws"), (4, 5, 6), {}, r"got k=4, n=4"),  # a later model's first cell
+        (("ws",), (100, 90, 80), {"ws_k": 80}, r"got k=80, n=80"),  # a later order
+    ], ids=["ws-default-k", "ba-m0", "ws-odd-k", "ws-beta", "er-p", "er-then-ws", "ws-later-n"])
+    def test_model_parameters_checked_for_every_cell(self, models, n_grid, params, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(experiment="fig1", models=models, n_grid=n_grid, **params)
+
+    def test_parameters_of_models_not_swept_are_not_checked(self):
+        ExperimentConfig(experiment="fig2", models=("ws",), n_grid=(20,), er_p=2.0, ba_m0=30)
+
 
 class TestRegression:
     def test_exact_square_root_power_law(self):
@@ -244,19 +260,12 @@ class TestFig2:
     def test_rows_are_rederivable_from_recorded_seed(self):
         reports = run_fig2(self.small_config())
         for r in reports[:3]:
-            again = rederive_fig2_sample(r.model, r.n, r.seed, r.t_pen)
+            again = rederive_fig2_sample(ModelParams(r.model), r.n, r.seed, r.t_pen)
             assert (again.anchor, again.added, again.kind) == (r.anchor, r.added, r.kind)
             assert again.t_base == r.t_base
             assert again.p_base == r.p_base
             assert again.eff == r.eff
             assert again.strong_eff == r.strong_eff
-
-    def test_rederive_rejects_params_of_another_model(self):
-        (r,) = run_fig2(self.small_config(models=("er",), samples_per_n=1))
-        with pytest.raises(ValueError, match="'er'.*'ws'"):
-            rederive_fig2_sample("er", r.n, r.seed, r.t_pen, params=ModelParams("ws"))
-        again = rederive_fig2_sample("er", r.n, r.seed, r.t_pen, params=ModelParams("er"))
-        assert again.t_base == r.t_base
 
     def test_csv_round_trip(self, tmp_path):
         reports = run_fig2(self.small_config())
@@ -328,6 +337,17 @@ class TestReadFig2Csv:
         bad = self.ROW.replace(",10,", ",ten,")
         with pytest.raises(Fig2CsvParseError, match="line 2: invalid literal"):
             self.read(tmp_path, self.HEADER, bad)
+
+    @pytest.mark.parametrize("column,value,message", [
+        ("p_base", "nan", "p_base must not be NaN"),
+        ("p_attacked", "-0.5", r"p_attacked must be in \[0, 1\], got -0.5"),
+        ("T_base", "-3", "T_base must be non-negative, got -3.0"),
+    ], ids=["p_base-nan", "p_attacked-negative", "T_base-negative"])
+    def test_out_of_range_value_rejected_with_line(self, tmp_path, column, value, message):
+        fields = self.ROW.split(",")
+        fields[self.HEADER.split(",").index(column)] = value
+        with pytest.raises(Fig2CsvParseError, match=f"line 3: {message}"):
+            self.read(tmp_path, self.HEADER, self.ROW, ",".join(fields))
 
 
 class FakePool:
