@@ -1,22 +1,22 @@
-"""Search instances, expected runtime, attacks, and efficiency measures.
+"""Expected runtime, the measurement-time optimizer, attacks, and efficiency measures.
 
-A search instance fixes the graph, the marked set and the measurement time
-t; the walk is always the graph's uniform chain, started from
-szegedy.initial_state(szegedy.uniform_stochastic(graph)). An
-attack replaces the marked set with a superset forming an exceptional
-configuration; it can never touch the engine, the graph, the walk, or t.
+The walk is always the graph's uniform chain, started from
+szegedy.initial_state(szegedy.uniform_stochastic(graph)). An attack is an
+exceptional configuration anchored at the single marked vertex: the base
+search marks the anchor alone, the attacked search marks every vertex of the
+configuration, and neither touches the engine, the graph, the walk, or t.
 Efficiency compares expected runtimes at the common t; strong efficiency
-lets the defender re-optimize the measurement time on the attacked instance.
+lets the defender re-optimize the measurement time on the attacked search.
 """
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from numbers import Real
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .exceptional import ExceptionalConfiguration
+from .exceptional import ECKind, ExceptionalConfiguration
 from .graphs import Graph
 from .szegedy import WalkOperator, initial_state, probability_trace, uniform_stochastic
 
@@ -26,24 +26,6 @@ _MAX_OPT_STEPS = 10_000_000
 def default_t_pen(n: int) -> int:
     """Optimizer penalty ceil(ln n) used by the experiments."""
     return math.ceil(math.log(n))
-
-
-@dataclass(frozen=True)
-class SearchInstance:
-    """A Szegedy spatial-search run: (graph, marked set, measurement time)."""
-
-    graph: Graph
-    marked: frozenset[int]
-    t: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "marked", frozenset(int(v) for v in self.marked))
-        if not self.marked:
-            raise ValueError("marked set must be nonempty")
-        if not all(0 <= v < self.graph.n for v in self.marked):
-            raise ValueError(f"marked set {sorted(self.marked)} out of range for n={self.graph.n}")
-        if self.t < 0:
-            raise ValueError(f"measurement time must be nonnegative, got {self.t}")
 
 
 def expected_runtime(t: int, p: float, t_pen: int = 0) -> float:
@@ -71,22 +53,7 @@ def efficiency(p_base: float, p_attacked: float) -> float:
 
 def probability_at(graph: Graph, marked: Iterable[int], t: int) -> float:
     """Success probability after exactly t steps of the search walk."""
-    inst = SearchInstance(graph, marked, t)  # validates the marked set and t
-    return float(probability_trace(graph, inst.marked, t)[t])
-
-
-def apply_attack(inst: SearchInstance, ec: ExceptionalConfiguration) -> SearchInstance:
-    """Mark the configuration's vertices on top of the instance's marked set.
-
-    The graph and the measurement time are untouched; only the marked
-    set grows. The configuration must be anchored at an already-marked
-    vertex and must add at least one new vertex.
-    """
-    if ec.anchor not in inst.marked:
-        raise ValueError(f"configuration anchor {ec.anchor} is not a marked vertex")
-    if set(ec.vertices) <= inst.marked:
-        raise ValueError(f"configuration {ec.vertices} adds no new marked vertex")
-    return replace(inst, marked=frozenset(inst.marked | set(ec.vertices)))
+    return float(probability_trace(graph, marked, t)[t])
 
 
 class OptimizeResult(NamedTuple):
@@ -131,8 +98,10 @@ def optimize_measurement_time(
 class AttackReport:
     """One attacked instance, flattened to the experiment CSV row schema.
 
-    Construction rejects NaN, probabilities out of range, negative orders,
-    times and runtimes, and an eff or T_opt inconsistent with the rest.
+    Construction rejects NaN, probabilities out of range, negative counts,
+    times and runtimes, vertices outside [0, n), an (anchor, added, kind)
+    that is not a configuration's shape, and an eff, T_base, T_attacked,
+    T_opt or strong_eff inconsistent with the rest.
     """
 
     model: str
@@ -162,19 +131,37 @@ class AttackReport:
             raise ValueError(f"p_base must be in (0, 1], got {self.p_base}")
         if not 0 <= self.p_attacked <= 1:
             raise ValueError(f"p_attacked must be in [0, 1], got {self.p_attacked}")
-        for name in ("n", "t_base", "T_base", "T_attacked", "t_opt", "T_opt", "t_pen"):
+        for name in ("n", "seed", "t_base", "T_base", "T_attacked", "t_opt", "T_opt", "t_pen",
+                     "graph_regens", "anchor_retries"):
             if getattr(self, name) < 0:  # a T field may be inf
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if not all(0 <= v < self.n for v in (self.anchor, *self.added)):
+            raise ValueError(f"anchor {self.anchor} and added {self.added} must lie in [0, {self.n})")
+        try:
+            kind = ECKind(self.kind)
+        except ValueError:
+            raise ValueError(f"unknown kind {self.kind!r}") from None
+        # the configuration's own checks: 2-3 distinct vertices, as many as the kind needs
+        ec = ExceptionalConfiguration(tuple(sorted((self.anchor, *self.added))), kind, self.anchor)
+        if ec.added != self.added:
+            raise ValueError(f"added {self.added} must be ascending")
         drift = abs(self.eff - (1.0 - self.p_attacked / self.p_base))
         if drift > 1e-12:
             raise ValueError(f"eff inconsistent with probabilities (drift {drift})")
         if self.T_opt > self.T_attacked * (1 + 1e-12):
             raise ValueError("re-optimized runtime exceeds the attacked runtime")
+        # strong_eff is undefined at T_opt = 0, so no value matches it there
+        for name, want in (
+            ("T_base", expected_runtime(self.t_base, self.p_base, self.t_pen)),
+            ("T_attacked", expected_runtime(self.t_base, self.p_attacked, self.t_pen)),  # inf iff p is 0
+            ("strong_eff", 1.0 - self.T_base / self.T_opt if self.T_opt > 0 else math.nan),
+        ):
+            if not math.isclose(getattr(self, name), want, rel_tol=1e-12):
+                raise ValueError(f"{name} is {getattr(self, name)!r}, but the other fields give {want!r}")
 
 
 def evaluate_attack(
     graph: Graph,
-    marked: Iterable[int],
     ec: ExceptionalConfiguration,
     t_pen: int,
     model: str = "",
@@ -184,26 +171,25 @@ def evaluate_attack(
 ) -> AttackReport:
     """Full attack evaluation: clean optimum, attacked at the common time, defense.
 
-    The base measurement time is the clean instance's optimal time under the
-    same penalty; the attacked instance is measured at that same time, and
-    the defender's re-optimized time and runtime complete the report. The
-    penalty must be at least 1: with none both optima sit at t = 0 with
-    T_opt = 0, and the strong efficiency 1 - T_base / T_opt is undefined.
+    The base search marks the configuration's anchor alone and the attacked
+    search marks all of its vertices. The base measurement time is the base
+    search's optimal time under the penalty; the attacked search is measured
+    at that same time, and the defender's re-optimized time and runtime
+    complete the report. The penalty must be at least 1: with none both
+    optima sit at t = 0 with T_opt = 0, and the strong efficiency
+    1 - T_base / T_opt is undefined.
     """
     if t_pen < 1:
         raise ValueError(f"t_pen must be at least 1, got {t_pen}")
-    marked = frozenset(int(v) for v in marked)
-    base_opt = optimize_measurement_time(graph, marked, t_pen)
-    base = SearchInstance(graph, marked, base_opt.t_opt)
-    attacked = apply_attack(base, ec)
-    p_att = probability_at(graph, attacked.marked, base_opt.t_opt)
-    att_opt = optimize_measurement_time(graph, attacked.marked, t_pen)
+    base_opt = optimize_measurement_time(graph, [ec.anchor], t_pen)
+    p_att = probability_at(graph, ec.vertices, base_opt.t_opt)
+    att_opt = optimize_measurement_time(graph, ec.vertices, t_pen)
     return AttackReport(
         model=model,
         n=graph.n,
         seed=seed,
         anchor=ec.anchor,
-        added=ec.added(marked),
+        added=ec.added,
         kind=ec.kind.value,
         t_base=base_opt.t_opt,
         p_base=base_opt.p_opt,

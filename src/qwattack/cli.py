@@ -218,7 +218,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         )
     rng = np.random.default_rng(seed)
     ec = configs[int(rng.integers(len(configs)))]
-    report = evaluate_attack(graph, {anchor}, ec, t_pen, model="file", seed=seed)
+    report = evaluate_attack(graph, ec, t_pen, model="file", seed=seed)
     with _output(args) as fh:
         write_csv(fh, CSV_COLUMNS, [astuple(report)])
     return 0

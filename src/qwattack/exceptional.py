@@ -48,9 +48,10 @@ class ExceptionalConfiguration:
     def order(self) -> int:
         return len(self.vertices)
 
-    def added(self, marked: Iterable[int]) -> tuple[int, ...]:
-        """Vertices of the configuration not already in the marked set."""
-        return tuple(sorted(set(self.vertices) - set(marked)))
+    @property
+    def added(self) -> tuple[int, ...]:
+        """The vertices other than the anchor, ascending: what an attack marks."""
+        return tuple(v for v in self.vertices if v != self.anchor)
 
 
 def is_exceptional(graph: Graph, subset: Iterable[int]) -> bool:

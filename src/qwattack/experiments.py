@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .attack import AttackReport, default_t_pen, evaluate_attack
-from .exceptional import ECKind, checked_orders, find_2ec, find_ec_within_distance, within_one_hop
+from .exceptional import checked_orders, find_2ec, find_ec_within_distance, within_one_hop
 from .graphs import MODELS, ModelParams, derive_seed, generate_graph, is_connected
 
 logger = logging.getLogger(__name__)
@@ -282,7 +282,7 @@ def _fig2_sample(task) -> AttackReport:
         ec, retries = _pick_2ec(graph, attempt_seed)
         anchor_retries += retries
         if ec is not None:
-            return evaluate_attack(graph, {ec.anchor}, ec, t_pen, model=params.model, seed=attempt_seed,
+            return evaluate_attack(graph, ec, t_pen, model=params.model, seed=attempt_seed,
                                    graph_regens=attempt, anchor_retries=anchor_retries)
 
 
@@ -294,7 +294,7 @@ def rederive_fig2_sample(params: ModelParams, n: int, attempt_seed: int, t_pen: 
     ec, _ = _pick_2ec(graph, attempt_seed)
     if ec is None:
         raise ValueError("recorded seed does not yield a 2EC anchor")
-    return evaluate_attack(graph, {ec.anchor}, ec, t_pen, model=params.model, seed=attempt_seed)
+    return evaluate_attack(graph, ec, t_pen, model=params.model, seed=attempt_seed)
 
 
 def run_fig2(config: ExperimentConfig) -> list[AttackReport]:
@@ -412,40 +412,25 @@ CSV_COLUMNS = (
 
 
 class Fig2CsvParseError(ValueError):
-    """Raised when a fig2 CSV violates the column, field or kind contract."""
-
-
-_FIG2_OPTIONAL = ("graph_regens", "anchor_retries")
-_FIG2_KINDS = frozenset(kind.value for kind in ECKind)
+    """Raised when a fig2 CSV's header, field count or a row's values are not what the writer emits."""
 
 
 def read_fig2_csv(path) -> list[AttackReport]:
-    """Parse a fig2 CSV back into reports (resample columns optional).
+    """Parse a fig2 CSV, as write_fig2_csv writes it, back into reports.
 
-    Raises Fig2CsvParseError with the line number for a missing, unknown or
-    duplicated column, a row with the wrong field count, an unknown kind, and
-    a value that does not parse or fails the report's own consistency checks.
+    Raises Fig2CsvParseError with the line number for a header other than
+    CSV_COLUMNS, a row with the wrong field count, and a value that does not
+    parse or fails the report's own checks.
     """
     reports = []
     with open(path, "r", encoding="ascii", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        # DictReader keeps the last of two same-named columns, so reject them
-        duplicate = sorted({c for c in header if header.count(c) > 1})
-        if duplicate:
-            raise Fig2CsvParseError(f"line 1: duplicate columns {duplicate}")
-        unknown = [c for c in header if c not in CSV_COLUMNS]
-        if unknown:
-            raise Fig2CsvParseError(f"line 1: unknown columns {unknown}")
-        missing = [c for c in CSV_COLUMNS if c not in header and c not in _FIG2_OPTIONAL]
-        if missing:
-            raise Fig2CsvParseError(f"line 1: missing columns {missing}")
+        reader = csv.reader(fh)
+        if tuple(next(reader, ())) != CSV_COLUMNS:
+            raise Fig2CsvParseError(f"line 1: expected the header {','.join(CSV_COLUMNS)}")
         for row in reader:
             line = reader.line_num
-            if None in row or None in row.values():
-                raise Fig2CsvParseError(f"line {line}: expected {len(header)} fields")
-            if row["kind"] not in _FIG2_KINDS:
-                raise Fig2CsvParseError(f"line {line}: unknown kind {row['kind']!r}")
+            if len(row) != len(CSV_COLUMNS):
+                raise Fig2CsvParseError(f"line {line}: expected {len(CSV_COLUMNS)} fields")
             try:
                 reports.append(_fig2_report(row))
             except ValueError as exc:
@@ -453,9 +438,8 @@ def read_fig2_csv(path) -> list[AttackReport]:
     return reports
 
 
-def _fig2_report(row: dict) -> AttackReport:
+def _fig2_report(row: list[str]) -> AttackReport:
     values = []
-    for f, column in zip(fields(AttackReport), CSV_COLUMNS):  # the fields are in column order
-        raw = (row.get(column) or "0") if column in _FIG2_OPTIONAL else row[column]
-        values.append(tuple(int(v) for v in raw.split(";") if v) if f.name == "added" else f.type(raw))
+    for f, raw in zip(fields(AttackReport), row):  # the fields are in column order
+        values.append(tuple(int(v) for v in raw.split(";")) if f.name == "added" else f.type(raw))
     return AttackReport(*values)

@@ -7,8 +7,6 @@ from _oracles import brute_force_optimum, complete, cycle
 from qwattack import attack
 from qwattack.attack import (
     AttackReport,
-    SearchInstance,
-    apply_attack,
     default_t_pen,
     efficiency,
     efficiency_statistics,
@@ -17,8 +15,8 @@ from qwattack.attack import (
     optimize_measurement_time,
     probability_at,
 )
-from qwattack.exceptional import ECKind, ExceptionalConfiguration, find_2ec
-from qwattack.graphs import ModelParams, generate_graph, is_connected
+from qwattack.exceptional import ECKind, ExceptionalConfiguration, find_2ec, find_3ec
+from qwattack.graphs import Graph, ModelParams, generate_graph, is_connected
 from qwattack.szegedy import probability_trace
 
 
@@ -68,55 +66,6 @@ class TestEfficiencyFormula:
     def test_zero_base_rejected(self):
         with pytest.raises(ValueError):
             efficiency(0.0, 0.5)
-
-
-class TestSearchInstance:
-    def test_validation(self):
-        g = cycle(6)
-        with pytest.raises(ValueError, match="nonempty"):
-            SearchInstance(g, frozenset(), 3)
-        with pytest.raises(ValueError, match="out of range"):
-            SearchInstance(g, frozenset({9}), 3)
-        with pytest.raises(ValueError, match="nonnegative"):
-            SearchInstance(g, frozenset({0}), -1)
-
-
-class TestApplyAttack:
-    def test_marked_set_grows_by_configuration(self):
-        g = cycle(8)
-        inst = SearchInstance(g, frozenset({3}), 5)
-        ec = find_2ec(g, 3)[0]
-        attacked = apply_attack(inst, ec)
-        assert attacked.marked == {2, 3}
-        assert attacked.t == inst.t
-        assert attacked.graph is inst.graph
-
-    def test_triangle_attack(self):
-        g = complete(4)
-        inst = SearchInstance(g, frozenset({0}), 2)
-        ec = ExceptionalConfiguration((0, 1, 2), ECKind.EC3_TRIANGLE, 0)
-        assert apply_attack(inst, ec).marked == {0, 1, 2}
-
-    def test_anchor_must_be_marked(self):
-        g = cycle(8)
-        inst = SearchInstance(g, frozenset({3}), 5)
-        ec = find_2ec(g, 0)[0]
-        with pytest.raises(ValueError, match="anchor"):
-            apply_attack(inst, ec)
-
-    def test_must_add_a_vertex(self):
-        g = cycle(8)
-        inst = SearchInstance(g, frozenset({2, 3}), 5)
-        ec = ExceptionalConfiguration((2, 3), ECKind.EC2_PATH, 3)
-        with pytest.raises(ValueError, match="adds no new"):
-            apply_attack(inst, ec)
-
-    def test_original_instance_untouched(self):
-        g = cycle(8)
-        inst = SearchInstance(g, frozenset({3}), 5)
-        before = (inst.graph, inst.marked, inst.t)
-        apply_attack(inst, find_2ec(g, 3)[0])
-        assert (inst.graph, inst.marked, inst.t) == before
 
 
 class TestOptimizer:
@@ -170,7 +119,7 @@ class TestEvaluateAttack:
         anchor = next(v for v in range(g.n) if find_2ec(g, v))
         ec = find_2ec(g, anchor)[0]
         t_pen = default_t_pen(g.n)
-        report = evaluate_attack(g, {anchor}, ec, t_pen, model="er", seed=99)
+        report = evaluate_attack(g, ec, t_pen, model="er", seed=99)
         assert report.n == g.n
         assert report.anchor == anchor
         assert set(report.added) == set(ec.vertices) - {anchor}
@@ -187,11 +136,22 @@ class TestEvaluateAttack:
         t_best, T_best = brute_force_optimum(trace, t_pen)
         assert report.T_opt == pytest.approx(T_best, rel=1e-12)
 
+    @pytest.mark.parametrize("graph,anchor,kind,added", [
+        (complete(4), 0, ECKind.EC3_TRIANGLE, (1, 2)),
+        # deg(1) = 3 = deg(0) + deg(2), and 0 is an end of the path 0-1-2
+        (Graph(5, [(0, 1), (1, 2), (1, 3), (2, 4)]), 0, ECKind.EC3_PATH, (1, 2)),
+    ], ids=["3ec_triangle-K4", "3ec_path-end-anchor"])
+    def test_reports_the_configuration(self, graph, anchor, kind, added):
+        ec = next(ec for ec in find_3ec(graph, anchor) if ec.kind is kind)
+        report = evaluate_attack(graph, ec, 2)
+        assert (report.kind, report.anchor, report.added) == (kind.value, anchor, added)
+        assert report.p_base == pytest.approx(probability_at(graph, [anchor], report.t_base), abs=1e-14)
+
     def test_probability_at_common_time(self):
         g = connected_sample("ws", 60, 2)
         anchor = next(v for v in range(g.n) if find_2ec(g, v))
         ec = find_2ec(g, anchor)[0]
-        report = evaluate_attack(g, {anchor}, ec, 4)
+        report = evaluate_attack(g, ec, 4)
         attacked_marked = sorted({anchor} | set(ec.vertices))
         assert report.p_attacked == pytest.approx(
             probability_at(g, attacked_marked, report.t_base), abs=1e-14
@@ -201,7 +161,7 @@ class TestEvaluateAttack:
         # the benchmark's attack.optimize span wraps these module globals
         g = connected_sample("er", 80, 11)
         ec = find_2ec(g, next(v for v in range(g.n) if find_2ec(g, v)))[0]
-        expected = evaluate_attack(g, {ec.anchor}, ec, 5)
+        expected = evaluate_attack(g, ec, 5)
         calls = []
 
         def counted(fn):
@@ -212,7 +172,7 @@ class TestEvaluateAttack:
 
         for name in ("optimize_measurement_time", "probability_at"):
             monkeypatch.setattr(attack, name, counted(getattr(attack, name)))
-        assert evaluate_attack(g, {ec.anchor}, ec, 5) == expected
+        assert evaluate_attack(g, ec, 5) == expected
         assert sorted(calls) == ["optimize_measurement_time"] * 2 + ["probability_at"]
 
     @pytest.mark.parametrize("t_pen", [0, -1])
@@ -221,7 +181,7 @@ class TestEvaluateAttack:
         g = connected_sample("er", 200)
         ec = find_2ec(g, next(v for v in range(g.n) if find_2ec(g, v)))[0]
         with pytest.raises(ValueError, match="t_pen must be at least 1"):
-            evaluate_attack(g, {ec.anchor}, ec, t_pen)
+            evaluate_attack(g, ec, t_pen)
 
     @pytest.mark.slow
     def test_ws_attack_efficiency_sanity(self):
@@ -237,7 +197,7 @@ class TestEvaluateAttack:
                 if cands:
                     ec = cands[int(rng.integers(len(cands)))]
                     break
-            report = evaluate_attack(g, {ec.anchor}, ec, default_t_pen(g.n))
+            report = evaluate_attack(g, ec, default_t_pen(g.n))
             effs.append(report.eff)
         assert np.median(effs) > 0.5
 
@@ -255,6 +215,10 @@ class TestProbabilityAt:
     def test_empty_marked_set_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             probability_at(cycle(4), [], 2)
+
+    def test_out_of_range_vertex_rejected(self):
+        with pytest.raises(ValueError, match=r"marked set \[9\] out of range for n=6"):
+            probability_at(cycle(6), [9], 3)
 
 
 class TestReportValidation:
@@ -278,6 +242,40 @@ class TestReportValidation:
         with pytest.raises(ValueError, match="re-optimized"):
             AttackReport(eff=0.8, **kwargs)
 
+    @pytest.mark.parametrize("changes,message", [
+        # T_base = (t_base + t_pen) / p_base = 15 / 0.5
+        ({"T_base": 999.0}, r"T_base is 999.0, but the other fields give 30.0"),
+        ({"T_attacked": 151.0}, r"T_attacked is 151.0, but the other fields give 150.0"),
+        ({"T_attacked": math.inf}, r"T_attacked is inf, but the other fields give 150.0"),
+        ({"strong_eff": 0.4}, r"strong_eff is 0.4, but the other fields give 0.5"),
+        ({"seed": -1}, "seed must be non-negative, got -1"),
+        ({"graph_regens": -2}, "graph_regens must be non-negative, got -2"),
+        ({"anchor_retries": -3}, "anchor_retries must be non-negative, got -3"),
+        ({"anchor": 100}, r"anchor 100 and added \(1,\) must lie in \[0, 100\)"),
+        ({"added": (-7,)}, r"anchor 0 and added \(-7,\) must lie in \[0, 100\)"),
+        ({"kind": "4ec_star"}, "unknown kind '4ec_star'"),
+        ({"added": (0,)}, r"duplicate vertices in \(0, 0\)"),
+        ({"added": (1, 2)}, r"2ec_path needs 2 vertices, got \(0, 1, 2\)"),
+        ({"kind": "3ec_path"}, r"3ec_path needs 3 vertices, got \(0, 1\)"),
+        ({"added": (2, 1), "kind": "3ec_triangle"}, r"added \(2, 1\) must be ascending"),
+    ], ids=["T_base", "T_attacked", "T_attacked-inf", "strong_eff", "seed", "graph_regens",
+            "anchor_retries", "anchor-range", "added-range", "kind", "added-is-anchor", "too-many",
+            "too-few", "added-order"])
+    def test_contradicting_fields_rejected(self, changes, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AttackReport(eff=0.8, **{**self._base_kwargs(), **changes})
+
+    def test_runtime_is_infinite_exactly_when_p_attacked_is_zero(self):
+        # eff = 1 and strong_eff = 1 - 30 / 60 at p_attacked = 0
+        kwargs = {**self._base_kwargs(), "p_attacked": 0.0, "T_attacked": math.inf}
+        assert AttackReport(eff=1.0, **kwargs).T_attacked == math.inf
+        with pytest.raises(ValueError, match="T_attacked is 1e[+]300, but the other fields give inf"):
+            AttackReport(eff=1.0, **{**kwargs, "T_attacked": 1e300})
+
+    def test_configuration_shapes_accepted(self):
+        for anchor, added, kind in [(5, (3,), "2ec_path"), (1, (0, 2), "3ec_triangle"), (0, (1, 2), "3ec_path")]:
+            AttackReport(eff=0.8, **{**self._base_kwargs(), "anchor": anchor, "added": added, "kind": kind})
+
 
 class TestEfficiencyStatistics:
     def test_single_value(self):
@@ -298,7 +296,7 @@ class TestEfficiencyStatistics:
             AttackReport(
                 model="er", n=10, seed=i, anchor=0, added=(1,), kind="2ec_path",
                 t_base=1, p_base=0.5, T_base=2.0, p_attacked=0.5 - 0.1 * i,
-                T_attacked=2.0, eff=0.2 * i, t_opt=1, T_opt=2.0,
+                T_attacked=1 / (0.5 - 0.1 * i), eff=0.2 * i, t_opt=1, T_opt=2.0,
                 strong_eff=0.0, t_pen=0,
             )
             for i in range(3)

@@ -344,7 +344,8 @@ class TestConfigurationType:
             ExceptionalConfiguration((1, 2), ECKind.EC3_TRIANGLE, 1)
 
     def test_added_vertices(self):
-        ec = ExceptionalConfiguration((3, 5, 7), ECKind.EC3_PATH, 5)
-        assert ec.added({5}) == (3, 7)
-        assert ec.added({3, 5}) == (7,)
-        assert ec.order == 3
+        # the vertices other than the anchor, ascending, wherever the anchor sits
+        assert ExceptionalConfiguration((3, 5, 7), ECKind.EC3_PATH, 5).added == (3, 7)
+        assert ExceptionalConfiguration((3, 5, 7), ECKind.EC3_PATH, 7).added == (3, 5)
+        assert ExceptionalConfiguration((2, 9), ECKind.EC2_PATH, 2).added == (9,)
+        assert ExceptionalConfiguration((3, 5, 7), ECKind.EC3_PATH, 5).order == 3

@@ -287,6 +287,8 @@ class TestReadFig2Csv:
         "T_attacked,eff,t_opt,T_opt,strong_eff,t_pen,graph_regens,anchor_retries"
     )
     ROW = "er,100,1,0,1,2ec_path,10,0.5,30.0,0.1,150.0,0.8,12,60.0,0.5,5,0,0"
+    COLUMNS = HEADER.split(",")
+    HEADER_MISMATCH = "^line 1: expected the header model,n,seed,.*,anchor_retries$"
 
     def read(self, tmp_path, *lines):
         path = tmp_path / "fig2.csv"
@@ -297,31 +299,23 @@ class TestReadFig2Csv:
         (report,) = self.read(tmp_path, self.HEADER, self.ROW)
         assert (report.model, report.n, report.added, report.t_opt) == ("er", 100, (1,), 12)
 
-    def test_resample_columns_are_optional(self, tmp_path):
-        header = self.HEADER.rsplit(",", 2)[0]
-        row = self.ROW.rsplit(",", 2)[0]
-        (report,) = self.read(tmp_path, header, row)
-        assert (report.graph_regens, report.anchor_retries) == (0, 0)
-
-    def test_missing_column_rejected(self, tmp_path):
-        header = self.HEADER.replace(",eff,", ",")
-        row = self.ROW.replace(",0.8,", ",")
-        with pytest.raises(Fig2CsvParseError, match=r"line 1: missing columns \['eff'\]"):
-            self.read(tmp_path, header, row)
-
-    def test_unknown_column_rejected(self, tmp_path):
-        with pytest.raises(Fig2CsvParseError, match=r"line 1: unknown columns \['extra'\]"):
-            self.read(tmp_path, self.HEADER + ",extra", self.ROW + ",1")
+    @pytest.mark.parametrize("header,row", [
+        (HEADER.replace(",eff,", ","), ROW.replace(",0.8,", ",")),
+        (HEADER + ",extra", ROW + ",1"),
+        (HEADER.replace("seed,anchor", "anchor,seed"), ROW.replace("er,100,1,0,", "er,100,0,1,")),
+        (HEADER.rsplit(",", 2)[0], ROW.rsplit(",", 2)[0]),
+        (None, None),
+    ], ids=["missing", "unknown", "reordered", "no-resample-columns", "empty-file"])
+    def test_header_must_be_the_writers(self, tmp_path, header, row):
+        lines = () if header is None else (header, row)
+        with pytest.raises(Fig2CsvParseError, match=self.HEADER_MISMATCH):
+            self.read(tmp_path, *lines)
 
     @pytest.mark.parametrize("column,value", [("t_base", "999"), ("seed", "7"), ("anchor", "5"), ("model", "ba")])
     def test_duplicate_column_rejected(self, tmp_path, column, value):
-        # a second copy of the column would otherwise silently win
-        with pytest.raises(Fig2CsvParseError, match=rf"line 1: duplicate columns \['{column}'\]"):
+        # a second copy of the column must not silently win
+        with pytest.raises(Fig2CsvParseError, match=self.HEADER_MISMATCH):
             self.read(tmp_path, f"{self.HEADER},{column}", f"{self.ROW},{value}")
-
-    def test_empty_file_rejected(self, tmp_path):
-        with pytest.raises(Fig2CsvParseError, match="line 1: missing columns"):
-            self.read(tmp_path)
 
     def test_unknown_kind_rejected_with_line(self, tmp_path):
         bad = self.ROW.replace("2ec_path", "4ec_star")
@@ -342,12 +336,24 @@ class TestReadFig2Csv:
         ("p_base", "nan", "p_base must not be NaN"),
         ("p_attacked", "-0.5", r"p_attacked must be in \[0, 1\], got -0.5"),
         ("T_base", "-3", "T_base must be non-negative, got -3.0"),
-    ], ids=["p_base-nan", "p_attacked-negative", "T_base-negative"])
+        ("T_base", "999.0", "T_base is 999.0, but the other fields give 30.0"),
+        ("anchor", "500", r"anchor 500 and added \(1,\) must lie in \[0, 100\)"),
+        ("added_vertices", "0", r"duplicate vertices in \(0, 0\)"),
+        ("graph_regens", "-2", "graph_regens must be non-negative, got -2"),
+        ("added_vertices", "1;", "invalid literal for int"),
+    ], ids=["p_base-nan", "p_attacked-negative", "T_base-negative", "T_base-contradicts",
+            "anchor-out-of-range", "added-is-anchor", "graph_regens-negative", "added-empty-field"])
     def test_out_of_range_value_rejected_with_line(self, tmp_path, column, value, message):
         fields = self.ROW.split(",")
-        fields[self.HEADER.split(",").index(column)] = value
+        fields[self.COLUMNS.index(column)] = value
         with pytest.raises(Fig2CsvParseError, match=f"line 3: {message}"):
             self.read(tmp_path, self.HEADER, self.ROW, ",".join(fields))
+
+    def test_row_of_impossible_vertices_and_counts_rejected(self, tmp_path):
+        fields = dict(zip(self.COLUMNS, self.ROW.split(",")))
+        fields.update(seed="-1", anchor="500", added_vertices="500;-7", graph_regens="-2", anchor_retries="-3")
+        with pytest.raises(Fig2CsvParseError, match="line 2: seed must be non-negative, got -1"):
+            self.read(tmp_path, self.HEADER, ",".join(fields.values()))
 
 
 class FakePool:
