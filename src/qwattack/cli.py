@@ -76,6 +76,13 @@ def _parse_ints(raw: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected a comma list of integers, got {raw!r}") from None
 
 
+def _parse_grid(raw: str) -> tuple[int, ...]:
+    try:
+        return expand_grid(raw)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_common(sub: argparse.ArgumentParser, seed: bool, stdout: bool) -> None:
     sub.add_argument("--config", help="key=value file supplying defaults for any flag")
     if seed:
@@ -140,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=extra)
         p.add_argument("--model", type=_parse_models, default=MODELS, help="comma list among er,ws,ba (default all)")
         p.add_argument("--n", type=int, help="single graph order (shorthand grid)")
-        p.add_argument("--n-grid", dest="n_grid", help="start:stop:step, stop inclusive")
+        p.add_argument("--n-grid", dest="n_grid", type=_parse_grid, help="start:stop:step, stop inclusive")
         p.add_argument("--samples", type=int, default=samples, help=f"samples per (model, n) (default {samples})")
         p.add_argument("--workers", type=int, default=1, help="process count (default 1)")
         if name == "fig2":
@@ -227,7 +234,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 def _experiment_config(name: str, args: argparse.Namespace) -> ExperimentConfig:
     if args.n is not None and args.n_grid is not None:
         raise ValueError("give either --n or --n-grid, not both")
-    grid = expand_grid(args.n_grid or ()) if args.n is None else (args.n,)
+    grid = (args.n_grid or ()) if args.n is None else (args.n,)
     return ExperimentConfig(
         experiment=name,
         models=args.model,

@@ -1,4 +1,4 @@
-"""Exceptional-configuration certification and enumeration.
+"""Exceptional-configuration enumeration.
 
 A connected marked subgraph H of G is exceptional when it admits a
 stationary state of the search walk: H is non-bipartite, or H is bipartite
@@ -8,7 +8,6 @@ pair with equal degrees, a triangle, or a 3-vertex path whose middle degree
 equals the sum of the end degrees.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
@@ -28,7 +27,7 @@ _KIND_RANK = {ECKind.EC2_PATH: 0, ECKind.EC3_TRIANGLE: 1, ECKind.EC3_PATH: 2}
 
 @dataclass(frozen=True)
 class ExceptionalConfiguration:
-    """A marked-vertex set certified exceptional, tagged with its shape."""
+    """An exceptional marked-vertex set, tagged with its shape."""
 
     vertices: tuple[int, ...]
     kind: ECKind
@@ -52,44 +51,6 @@ class ExceptionalConfiguration:
     def added(self) -> tuple[int, ...]:
         """The vertices other than the anchor, ascending: what an attack marks."""
         return tuple(v for v in self.vertices if v != self.anchor)
-
-
-def is_exceptional(graph: Graph, subset: Iterable[int]) -> bool:
-    """Certify a connected vertex subset by the stationary-state condition.
-
-    True iff the induced subgraph is non-bipartite, or bipartite with parts
-    whose full-graph degree sums are equal. Raises if the induced subgraph
-    is disconnected (or the subset is empty).
-    """
-    verts = sorted({int(v) for v in subset})
-    if not verts:
-        raise ValueError("subset must be nonempty")
-    if not all(0 <= v < graph.n for v in verts):
-        raise ValueError(f"subset {verts} out of range for n={graph.n}")
-    vset = set(verts)
-    # single BFS does connectivity and 2-coloring of the induced subgraph
-    color = {verts[0]: 0}
-    queue = deque([verts[0]])
-    bipartite = True
-    while queue:
-        u = queue.popleft()
-        for w in graph.neighbors(u):
-            w = int(w)
-            if w not in vset:
-                continue
-            if w not in color:
-                color[w] = color[u] ^ 1
-                queue.append(w)
-            elif color[w] == color[u]:
-                bipartite = False
-    if len(color) != len(verts):
-        raise ValueError(f"subset {verts} induces a disconnected subgraph")
-    if not bipartite:
-        return True
-    sums = [0, 0]
-    for v, c in color.items():
-        sums[c] += graph.degree(v)
-    return sums[0] == sums[1]
 
 
 def _check_vertex(graph: Graph, v: int) -> None:

@@ -34,21 +34,16 @@ _PANEL_SPEC = {
     "order23_d1": ((2, 3), 1),
 }
 
-FIG1_COLUMNS = ("model", "n", "panel", "probability", "ci_low", "ci_high", "samples", "seed", "regens")
-FIG3_COLUMNS = ("model", "variant", "alpha", "intercept", "rse", "points")
 
-
-def expand_grid(spec) -> tuple[int, ...]:
-    """'start:stop:step' (stop inclusive) or an iterable of orders."""
-    if isinstance(spec, str):
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"grid spec must be start:stop:step, got {spec!r}")
-        start, stop, step = (int(p) for p in parts)
-        if step < 1 or stop < start:
-            raise ValueError(f"invalid grid spec {spec!r}")
-        return tuple(range(start, stop + 1, step))
-    return tuple(int(n) for n in spec)
+def expand_grid(spec: str) -> tuple[int, ...]:
+    """The orders of a 'start:stop:step' spec, stop inclusive."""
+    try:
+        start, stop, step = (int(p) for p in spec.split(":"))
+    except ValueError:
+        raise ValueError(f"grid spec must be start:stop:step of integers, got {spec!r}") from None
+    if step < 1 or stop < start:
+        raise ValueError(f"invalid grid spec {spec!r}")
+    return tuple(range(start, stop + 1, step))
 
 
 @dataclass(frozen=True)
@@ -111,6 +106,9 @@ class Fig1Row:
     samples: int
     seed: int
     regens: int
+
+
+FIG1_COLUMNS = tuple(f.name for f in fields(Fig1Row))
 
 
 # the thread caps a freshly imported numpy reads from the environment
@@ -318,6 +316,9 @@ class RegressionResult:
     points: int
 
 
+FIG3_COLUMNS = ("model", "variant", *(f.name for f in fields(RegressionResult)))
+
+
 def fit_loglog(ns: Sequence[float], ts: Sequence[float]) -> RegressionResult:
     """Fit ln T = alpha * ln n + intercept; rse is the residual standard error."""
     ns = np.asarray(ns, dtype=np.float64)
@@ -392,7 +393,7 @@ def _write_csv(path, columns: Sequence[str], rows: Iterable[Iterable]) -> None:
 
 
 def write_fig1_csv(rows: Sequence[Fig1Row], path) -> None:
-    _write_csv(path, FIG1_COLUMNS, map(astuple, rows))  # the fields are in column order
+    _write_csv(path, FIG1_COLUMNS, map(astuple, rows))
 
 
 def write_fig2_csv(reports: Sequence[AttackReport], path) -> None:
@@ -404,11 +405,7 @@ def write_fig3_csv(labeled: Sequence[tuple[str, str, RegressionResult]], path) -
 
 
 # the fig2 row: AttackReport's fields in order, `added` written as added_vertices
-CSV_COLUMNS = (
-    "model", "n", "seed", "anchor", "added_vertices", "kind",
-    "t_base", "p_base", "T_base", "p_attacked", "T_attacked", "eff",
-    "t_opt", "T_opt", "strong_eff", "t_pen", "graph_regens", "anchor_retries",
-)
+CSV_COLUMNS = tuple("added_vertices" if f.name == "added" else f.name for f in fields(AttackReport))
 
 
 class Fig2CsvParseError(ValueError):
@@ -440,6 +437,6 @@ def read_fig2_csv(path) -> list[AttackReport]:
 
 def _fig2_report(row: list[str]) -> AttackReport:
     values = []
-    for f, raw in zip(fields(AttackReport), row):  # the fields are in column order
+    for f, raw in zip(fields(AttackReport), row):
         values.append(tuple(int(v) for v in raw.split(";")) if f.name == "added" else f.type(raw))
     return AttackReport(*values)

@@ -20,17 +20,25 @@ class EdgeListParseError(ValueError):
 
 
 def _edge_pairs(edges) -> np.ndarray:
-    """Edges as an (m, 2) array: int64, or Python ints if one does not fit (it is out of range)."""
+    """Edges as an (m, 2) array: int64, or Python ints if one does not fit (it is out of range).
+    Raises ValueError for an endpoint that is not an integer."""
     edges = edges if isinstance(edges, np.ndarray) else list(edges)
-    try:
-        pairs = np.array(edges, dtype=np.int64)
-    except OverflowError:
-        pairs = np.array(edges, dtype=object)
+    pairs = np.asarray(edges)
     if pairs.size == 0:
-        return pairs.reshape(0, 2)
+        return np.zeros((0, 2), dtype=np.int64)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError(f"edges must be (u, v) pairs, got an array of shape {pairs.shape}")
-    return pairs
+    if np.can_cast(pairs.dtype, np.int64):
+        return pairs.astype(np.int64, copy=False)
+    # numpy infers uint64, float64 or object for an int beyond int64, so recheck each endpoint
+    pairs = np.array(edges, dtype=object)
+    for u, v in pairs:
+        if not (isinstance(u, (int, np.integer)) and isinstance(v, (int, np.integer))):
+            raise ValueError(f"edge ({u!r}, {v!r}) has a non-integer endpoint")
+    try:
+        return pairs.astype(np.int64)
+    except OverflowError:
+        return pairs
 
 
 def _first_bad_edge(n: int, pairs: np.ndarray) -> Optional[tuple[int, str]]:
@@ -121,20 +129,26 @@ class Graph:
         return f"Graph(n={self._n}, edges={self.num_edges})"
 
 
+def _check_order(n: int) -> None:
+    if n < 2:
+        raise ValueError(f"need at least 2 vertices, got {n}")
+
+
 def default_er_p(n: int) -> float:
     """Edge probability 2*ln(n)/n used for the Erdos-Renyi experiments."""
+    _check_order(n)
     return 2.0 * math.log(n) / n
 
 
 def default_ws_k(n: int) -> int:
     """Initial Watts-Strogatz degree ceil(2*ln(n)), rounded up to even."""
+    _check_order(n)
     k = math.ceil(2.0 * math.log(n))
     return k if k % 2 == 0 else k + 1
 
 
 def _check_er(n: int, p: float) -> None:
-    if n < 2:
-        raise ValueError(f"need at least 2 vertices, got {n}")
+    _check_order(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
 

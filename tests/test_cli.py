@@ -53,6 +53,14 @@ class TestGenerate:
         assert code == 1
         assert "missing required option --out" in err
 
+    @pytest.mark.parametrize("model, n", [("er", "0"), ("ws", "-3")])
+    def test_order_below_two_named(self, tmp_path, capsys, model, n):
+        out = tmp_path / "g.edges"
+        code, _, err = run_cli(["generate", "--model", model, "--n", n, "--seed", "1", "--out", str(out)], capsys)
+        assert code == 1
+        assert f"error: need at least 2 vertices, got {n}" in err
+        assert not out.exists()
+
 
 class TestScanEC:
     def test_cycle_has_two_2ec_rows(self, tmp_path, capsys):
@@ -226,8 +234,11 @@ class TestConfigFile:
              "argument --model: no models given; expected among ('er', 'ws', 'ba')"),
             (["scan-ec", "--in", "g.edges", "--vertex", "3"], "orders", "2,x",
              "argument --orders: expected a comma list of integers, got '2,x'"),
+            (["fig1"], "n-grid", "a:b:c",
+             "argument --n-grid: grid spec must be start:stop:step of integers, got 'a:b:c'"),
         ],
-        ids=["generate-n", "generate-model", "scan-ec-distance", "fig2-model", "fig1-empty-model", "scan-ec-orders"],
+        ids=["generate-n", "generate-model", "scan-ec-distance", "fig2-model", "fig1-empty-model", "scan-ec-orders",
+             "fig1-n-grid"],
     )
     def test_bad_config_value_is_a_usage_error_like_the_flag(self, tmp_path, capsys, argv, key, value, message):
         out = tmp_path / "x.out"

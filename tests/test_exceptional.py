@@ -10,11 +10,8 @@ from _oracles import (
     complete,
     cycle,
     exceptional_by_definition,
-    path,
     path_middle,
     star,
-    two_coloring,
-    induced_adjacency,
 )
 from qwattack.exceptional import (
     ECKind,
@@ -22,7 +19,6 @@ from qwattack.exceptional import (
     find_2ec,
     find_3ec,
     find_ec_within_distance,
-    is_exceptional,
 )
 from qwattack.experiments import ec_formation_probability, wilson_interval
 from qwattack.graphs import Graph, ModelParams, gen_erdos_renyi
@@ -31,83 +27,6 @@ from qwattack.graphs import Graph, ModelParams, gen_erdos_renyi
 def middle_degree_example_graph():
     """Edges {a-b, b-c, b-d, b-e, a-d, c-e} with a..e = 0..4."""
     return Graph(5, [(0, 1), (1, 2), (1, 3), (1, 4), (0, 3), (2, 4)])
-
-
-class TestIsExceptional:
-    def test_triangle_is_exceptional(self):
-        g = complete(3)
-        assert is_exceptional(g, {0, 1, 2})
-
-    def test_equal_degree_pair_is_exceptional(self):
-        g = cycle(6)
-        assert is_exceptional(g, {0, 1})
-
-    def test_unequal_degree_pair_is_not(self):
-        # adjacent pair with degrees 2 and 3
-        g = Graph(5, [(0, 1), (1, 2), (1, 3), (0, 4)])
-        assert g.degree(0) == 2 and g.degree(1) == 3
-        assert not is_exceptional(g, {0, 1})
-
-    def test_degrees_measured_in_full_graph(self):
-        # induced degrees of {0, 1} in P3 are both 1, but full-graph degrees
-        # are 1 and 2, so the pair must be rejected
-        g = path(3)
-        assert not is_exceptional(g, {0, 1})
-
-    def test_path_middle_degree_sum(self):
-        g = middle_degree_example_graph()
-        assert is_exceptional(g, {0, 1, 2})  # deg(1)=4 = deg(0)+deg(2) = 2+2
-
-    def test_disconnected_subset_rejected(self):
-        g = cycle(6)
-        with pytest.raises(ValueError, match="disconnected"):
-            is_exceptional(g, {0, 3})
-
-    def test_empty_subset_rejected(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            is_exceptional(cycle(4), set())
-
-    @given(seed=st.integers(0, 5_000))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_definition_oracle(self, seed):
-        g = gen_erdos_renyi(8, 0.45, seed=seed)
-        rng = np.random.default_rng(seed)
-        for size in (2, 3):
-            verts = tuple(sorted(rng.choice(8, size=size, replace=False).tolist()))
-            adj = induced_adjacency(g, verts)
-            reachable = {verts[0]}
-            stack = [verts[0]]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if w not in reachable:
-                        reachable.add(w)
-                        stack.append(w)
-            if len(reachable) != len(verts):
-                with pytest.raises(ValueError):
-                    is_exceptional(g, verts)
-            else:
-                assert is_exceptional(g, verts) == exceptional_by_definition(g, verts)
-
-    @given(seed=st.integers(0, 5_000))
-    @settings(max_examples=40, deadline=None)
-    def test_bipartite_branch_matches_two_coloring_oracle(self, seed):
-        # any connected induced subgraph: the bipartiteness decision inside
-        # is_exceptional must agree with an independent BFS 2-coloring
-        g = gen_erdos_renyi(8, 0.5, seed=seed)
-        rng = np.random.default_rng(seed + 1)
-        verts = tuple(sorted(rng.choice(8, size=3, replace=False).tolist()))
-        adj = induced_adjacency(g, verts)
-        bipartite, colors = two_coloring(adj)
-        reachable = len({v for v in colors})
-        if reachable != len(verts) or not all(adj.values() or [True]):
-            return
-        try:
-            result = is_exceptional(g, verts)
-        except ValueError:
-            return  # disconnected; covered elsewhere
-        if not bipartite:
-            assert result
 
 
 class TestFind2EC:
@@ -214,7 +133,7 @@ class TestBruteForceEquivalence:
         rng = np.random.default_rng(seed)
         v = int(rng.integers(10))
         for ec in find_2ec(g, v) + find_3ec(g, v):
-            assert is_exceptional(g, ec.vertices)
+            assert exceptional_by_definition(g, ec.vertices)
             assert v in ec.vertices
 
     def test_path_kind_matches_induced_shape(self, corpus):

@@ -45,9 +45,6 @@ class TestGrid:
     def test_single_point(self):
         assert expand_grid("64:64:1") == (64,)
 
-    def test_iterable_passthrough(self):
-        assert expand_grid([10, 20]) == (10, 20)
-
     def test_malformed(self):
         with pytest.raises(ValueError):
             expand_grid("100:50")

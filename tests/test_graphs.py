@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,17 @@ class TestGraph:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             Graph(3, [(0, 5)])
+
+    def test_uint64_endpoint_reported_unwrapped(self):
+        with pytest.raises(ValueError, match=re.escape(f"edge (0, {2**63}) out of range for n=3")):
+            Graph(3, np.array([[0, 2**63]], dtype=np.uint64))
+
+    @pytest.mark.parametrize("edges, shown", [
+        ([(0, 1.5)], "(0, 1.5)"), (np.array([[0, 2.7]]), "(0.0, 2.7)"),
+    ], ids=["list", "float-array"])
+    def test_rejects_non_integer_endpoint(self, edges, shown):
+        with pytest.raises(ValueError, match=re.escape(f"edge {shown} has a non-integer endpoint")):
+            Graph(3, edges)
 
     def test_adjacency_is_symmetric_and_sorted(self):
         g = Graph(4, [(2, 0), (3, 1), (0, 1)])
@@ -409,6 +421,11 @@ class TestModelDispatch:
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError, match="unknown model"):
             ModelParams(model="grid")
+
+    @pytest.mark.parametrize("model", ["er", "ws"])
+    def test_default_rules_reject_orders_below_two(self, model):
+        with pytest.raises(ValueError, match="need at least 2 vertices, got 0"):
+            ModelParams(model).check(0)
 
     @given(
         st.sampled_from(["er", "ws", "ba"]),

@@ -16,13 +16,14 @@ from _oracles import (
     dense_swap,
     dense_trace,
     dense_uniform_chain,
+    exceptional_by_definition,
     index_of,
     max_marked_first_mass,
     plus_one_eigenspace,
     star,
     stationary_witness,
 )
-from qwattack.exceptional import find_2ec, find_ec_within_distance, is_exceptional
+from qwattack.exceptional import find_2ec, find_ec_within_distance
 from qwattack.graphs import Graph, ModelParams, generate_graph, gen_watts_strogatz
 from qwattack.graphs import derive_seed, is_connected
 from qwattack.szegedy import (
@@ -551,7 +552,7 @@ class TestScaledStationaryWitness:
         assert ec is not None, f"no {kind} in the {model} draw of order {n}"
         for v in ec.vertices:  # each member lists the EC, whichever its role in it
             assert any(e.vertices == ec.vertices for e in find_ec_within_distance(g, v))
-        assert is_exceptional(g, ec.vertices)
+        assert exceptional_by_definition(g, ec.vertices)
         space = PairSpace.from_graph(g)
         amps, residual = stationary_witness(g, ec.vertices, space)
         assert residual <= WITNESS_TOL
@@ -578,7 +579,7 @@ class TestWitnessPredicate:
         space = PairSpace.from_graph(g)
         amps, residual = stationary_witness(g, H, space)
         consistent = residual <= WITNESS_TOL
-        assert is_exceptional(g, H) == consistent
+        assert exceptional_by_definition(g, H) == consistent
         if size <= 3:  # the enumerators list H from each member exactly when it is exceptional
             for v in H:
                 listed = {ec.vertices for ec in find_ec_within_distance(g, v, orders=(size,))}
