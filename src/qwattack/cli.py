@@ -83,10 +83,20 @@ def _parse_grid(raw: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _parse_seed(raw: str) -> int:
+    try:
+        seed = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _add_common(sub: argparse.ArgumentParser, seed: bool, stdout: bool) -> None:
     sub.add_argument("--config", help="key=value file supplying defaults for any flag")
     if seed:
-        sub.add_argument("--seed", type=int, help="root RNG seed (generated and printed if omitted)")
+        sub.add_argument("--seed", type=_parse_seed, help="root RNG seed (generated and printed if omitted)")
     sub.add_argument("--out", help="output path (stdout if omitted)" if stdout else "output path (required)")
 
 

@@ -5,9 +5,9 @@ parameters and seed; identical inputs yield identical graphs.
 """
 
 import math
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -187,6 +187,12 @@ def gen_erdos_renyi(n: int, p: float, seed: int) -> Graph:
 _RAW_CHUNK = 1024  # words per random_raw call: bounded, so a draw's memory does not grow with n
 
 
+def _pcg64_words(seed: int) -> Iterator[int]:
+    """np.random.default_rng(seed)'s PCG64 random_raw words, one at a time, as Python ints."""
+    bits = np.random.default_rng(seed).bit_generator
+    return chain.from_iterable(iter(lambda: bits.random_raw(_RAW_CHUNK).tolist(), None))
+
+
 def _pcg64_replay(seed: int):
     """(random, integers): np.random.default_rng(seed)'s random() and integers(m),
     replayed in plain Python from its PCG64 bit generator's random_raw words.
@@ -202,8 +208,7 @@ def _pcg64_replay(seed: int):
     - integers(1) returns 0 and draws nothing.
     tests/test_graphs.py checks this against the Generator call for call.
     """
-    bits = np.random.default_rng(seed).bit_generator
-    words = chain.from_iterable(iter(lambda: bits.random_raw(_RAW_CHUNK).tolist(), None))
+    words = _pcg64_words(seed)
     high = None  # the cached high half of the last word next_uint32 split
 
     def random() -> float:
@@ -265,6 +270,35 @@ def gen_watts_strogatz(n: int, k: int, beta: float, seed: int) -> Graph:
     return Graph(n, np.column_stack((np.tile(np.arange(n), half), far)))
 
 
+_UNIT = 1 << 53  # a double draw is k / 2**53, k the top 53 bits of a word
+
+
+def _live_units(ks: list[int], live: int, v: int) -> Optional[list[int]]:
+    """The unit (k * live) >> 53 that each draw k / 2**53 falls in among live degree
+    units, or None if a draw lies within 4 * (v + 2) * 2**-53 of a step D / live of
+    the exact CDF over v vertices. That is twice the most by which numpy's float CDF
+    strays from the exact one, so outside it the float pass picks the same units."""
+    margin = 4 * (v + 2) * live
+    units = []
+    for k in ks:
+        x = k * live
+        if not margin < x & (_UNIT - 1) < _UNIT - margin:
+            return None
+        units.append(x >> 53)
+    return units
+
+
+def _choice_pass(degrees: list[int], total: int, found: list[int], ks: list[int]) -> list[int]:
+    """One pass of numpy 2's Generator.choice(v, replace=False, p=degrees / total) for
+    the draws k / 2**53, with the found picks' weight zeroed: the picks, in draw order."""
+    p = np.array(degrees, dtype=np.float64) / total
+    if found:
+        p[found] = 0.0
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf.searchsorted(np.array(ks, dtype=np.float64) * 2.0**-53, side="right").tolist()
+
+
 def gen_barabasi_albert(n: int, m0: int, seed: int) -> Graph:
     """Preferential attachment starting from a complete graph on m0+1 vertices.
 
@@ -272,30 +306,55 @@ def gen_barabasi_albert(n: int, m0: int, seed: int) -> Graph:
     without replacement with probability proportional to current degree, as
     numpy 2's Generator.choice(v, m0, replace=False, p=...) samples: draw the
     missing picks, zero the found ones' weight, search the renormalised
-    cumulative weights, keep first occurrences in draw order, repeat."""
+    cumulative weights, keep first occurrences in draw order, repeat.
+
+    The draws are read as raw PCG64 words and picked from integer degrees. A
+    word's double is x = k / 2**53, k its top 53 bits. With `live` the degree
+    total left after zeroing the found picks, the exact CDF steps at D / live
+    for integers D, so x falls in unit (k * live) >> 53 of the live vertices'
+    degree units. numpy's float CDF strays from the exact one by at most
+    (2v + 4) * 2**-53 (the bound for recursive summation of positive terms,
+    Higham 2002, ch. 4), so the integer pick is numpy's whenever x lies more
+    than twice that from every step. A pass with a draw any closer runs
+    numpy's float pass on the same draws instead.
+    """
     _check_ba(n, m0)
-    rng = np.random.default_rng(seed)
-    edges = [(i, j) for i in range(m0 + 1) for j in range(i + 1, m0 + 1)]
-    degrees = np.zeros(n, dtype=np.float64)
-    degrees[: m0 + 1] = m0
+    words = _pcg64_words(seed)
+    degrees = [m0] * (m0 + 1)
+    ends = [t for t in range(m0 + 1) for _ in range(m0)]  # vertex t, degrees[t] times, ascending
+    heads: list[int] = []  # each new vertex's picks, in pick order
     for v in range(m0 + 1, n):
-        # the degrees are integers, so every partial sum is exact: this is degrees[:v].sum()
-        p = degrees[:v] / (2 * len(edges))
+        total = live = len(ends)
         found: list[int] = []
+        skips: list[tuple[int, int]] = []  # (start in ends, length) of each zeroed run
         while len(found) < m0:
-            x = rng.random(m0 - len(found))
             if found:
-                p[found] = 0.0
-            cdf = np.cumsum(p)
-            cdf /= cdf[-1]
-            for t in cdf.searchsorted(x, side="right").tolist():
+                live = total - sum(degrees[t] for t in found)
+                skips = sorted((bisect_left(ends, t), degrees[t]) for t in found)
+            ks = [word >> 11 for word in islice(words, m0 - len(found))]
+            units = _live_units(ks, live, v)
+            if units is not None:
+                picks = []
+                for i in units:
+                    for start, run in skips:  # step over the zeroed runs
+                        if i < start:
+                            break
+                        i += run
+                    picks.append(ends[i])
+            else:
+                picks = _choice_pass(degrees, total, found, ks)
+            for t in picks:
                 if t not in found:
                     found.append(t)
         for t in found:
-            edges.append((t, v))
             degrees[t] += 1
-        degrees[v] = m0
-    return Graph(n, edges)
+            insort(ends, t)
+        heads += found
+        degrees.append(m0)
+        ends += [v] * m0
+    clique = np.array([(i, j) for i in range(m0 + 1) for j in range(i + 1, m0 + 1)])
+    grown = np.column_stack((np.array(heads, dtype=np.int64), np.repeat(np.arange(m0 + 1, n), m0)))
+    return Graph(n, np.concatenate((clique, grown)))
 
 
 @dataclass(frozen=True)
@@ -404,9 +463,12 @@ def read_edge_list(path) -> Graph:
             malformed = f"line {lineno}: non-integer vertex id in {line!r}"
             break
         linenos.append(lineno)
-    bad = _first_bad_edge(n, _edge_pairs(edges))  # a bad edge above the malformed line is first
-    if bad:
-        raise EdgeListParseError(f"line {linenos[bad[0]]}: {bad[1]}")
+    pairs = _edge_pairs(edges)
+    try:
+        graph = Graph(n, pairs)
+    except ValueError:  # name the line: a bad edge above the malformed line is reported first
+        bad = _first_bad_edge(n, pairs)
+        raise EdgeListParseError(f"line {linenos[bad[0]]}: {bad[1]}") from None
     if malformed:
         raise EdgeListParseError(malformed)
-    return Graph(n, edges)
+    return graph

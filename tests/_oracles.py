@@ -207,6 +207,36 @@ def ws_reference(n: int, k: int, beta: float, seed: int) -> Graph:
     return Graph(n, np.column_stack((np.tile(np.arange(n), half), far)))
 
 
+def ba_reference(n: int, m0: int, seed: int) -> Graph:
+    """Preferential attachment through numpy's float CDF, one cumsum per pass.
+
+    The generator's first form, kept as the oracle for its stream: same
+    parameters and seed, so the edge list must match gen_barabasi_albert's.
+    """
+    rng = np.random.default_rng(seed)
+    edges = [(i, j) for i in range(m0 + 1) for j in range(i + 1, m0 + 1)]
+    degrees = np.zeros(n, dtype=np.float64)
+    degrees[: m0 + 1] = m0
+    for v in range(m0 + 1, n):
+        # the degrees are integers, so every partial sum is exact: this is degrees[:v].sum()
+        p = degrees[:v] / (2 * len(edges))
+        found: list[int] = []
+        while len(found) < m0:
+            x = rng.random(m0 - len(found))
+            if found:
+                p[found] = 0.0
+            cdf = np.cumsum(p)
+            cdf /= cdf[-1]
+            for t in cdf.searchsorted(x, side="right").tolist():
+                if t not in found:
+                    found.append(t)
+        for t in found:
+            edges.append((t, v))
+            degrees[t] += 1
+        degrees[v] = m0
+    return Graph(n, edges)
+
+
 # ----------------------------------------------------------- connectivity
 
 def connected_by_bfs(rows: list[list[int]]) -> bool:

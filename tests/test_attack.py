@@ -15,7 +15,7 @@ from qwattack.attack import (
     optimize_measurement_time,
     probability_at,
 )
-from qwattack.exceptional import ECKind, ExceptionalConfiguration, find_2ec, find_3ec
+from qwattack.exceptional import ECKind, find_2ec, find_3ec
 from qwattack.graphs import Graph, ModelParams, generate_graph, is_connected
 from qwattack.szegedy import probability_trace
 

@@ -165,6 +165,23 @@ class TestUsage:
             assert f"qwattack {command}: error: unrecognized arguments: --seed 1" in err
             assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--model", "ba", "--n", "50"],
+        ["attack", "--in", "g.edges", "--marked", "0"],
+        ["fig1", "--n", "20", "--samples", "1"],
+        ["fig2", "--n", "20", "--samples", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, argv):
+        # as a flag and as a config key, before any file is read or graph drawn
+        out = tmp_path / "x.out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=-1\n")
+        for given in (["--seed", "-1"], ["--config", str(cfg)]):
+            code, _, err = run_cli([*argv, *given, "--out", str(out)], capsys)
+            assert code == 2
+            assert "argument --seed: seed must be a non-negative integer, got -1" in err
+            assert not out.exists()
+
     @pytest.mark.parametrize("command, wording", [
         ("generate", "required"), ("fig1", "required"), ("fig2", "required"), ("fig3", "required"),
         ("scan-ec", "stdout if omitted"), ("search", "stdout if omitted"), ("attack", "stdout if omitted"),

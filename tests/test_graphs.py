@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import connected_by_bfs, connected_by_union_find, cycle, reference_rows, star, ws_reference
+from _oracles import ba_reference, connected_by_bfs, connected_by_union_find, cycle, reference_rows, star, ws_reference
+from qwattack import graphs
 from qwattack.graphs import (
     _RAW_CHUNK,
+    _UNIT,
     EdgeListParseError,
     Graph,
     ModelParams,
+    _live_units,
     _pcg64_replay,
     default_er_p,
     default_ws_k,
@@ -238,6 +241,50 @@ class TestBarabasiAlbert:
         assert np.mean(ratios["ba"]) > np.mean(ratios["ws"])
 
 
+class TestBarabasiAlbertAgainstReference:
+    """The generator against numpy's float-CDF passes in _oracles: same stream, same edges."""
+
+    @pytest.mark.parametrize("m0", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [6, 50, 200, 600, 1000])
+    def test_grid(self, n, m0):
+        for seed in (0, 1, derive_seed(n, m0)):
+            assert gen_barabasi_albert(n, m0, seed) == ba_reference(n, m0, seed), (n, m0, seed)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n", [2400, 4000])
+    def test_experiment_sizes(self, n):
+        for m0, seed in ((3, derive_seed(n, 0)), (1, derive_seed(n, 1)), (5, derive_seed(n, 2))):
+            assert gen_barabasi_albert(n, m0, seed) == ba_reference(n, m0, seed), (n, m0, seed)
+
+    def test_float_pass_alone_gives_the_reference(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_live_units", lambda ks, live, v: None)
+        for n, m0, seed in ((7, 5, 3), (60, 1, 0), (300, 3, 4), (600, 5, 9)):
+            assert gen_barabasi_albert(n, m0, seed) == ba_reference(n, m0, seed), (n, m0, seed)
+
+    def test_units_only_clear_of_every_step(self):
+        # live = 8: k * live lies 8 * (k mod 2**50) past a step; the margin is 4 * (4 + 2) * 8 = 192
+        live, v = 8, 4
+        assert _live_units([25, 2**50 - 25, 2**52 + 25], live, v) == [0, 0, 4]
+        for k in (0, 24, 2**50, 2**50 - 24, 2**50 + 24):
+            assert _live_units([25, k], live, v) is None, k
+        assert _live_units([2**52], 6, v) is None  # 6 * 2**52 = 3 * 2**53 exactly
+
+    def test_draw_on_a_cdf_step_takes_the_float_pass(self, monkeypatch):
+        # n = 3, m0 = 1: vertex 2 picks from degrees [1, 1], and x = 1/2 is the step between them
+        passes = []
+        choice_pass = graphs._choice_pass
+
+        def spy(degrees, total, found, ks):
+            passes.append(ks)
+            return choice_pass(degrees, total, found, ks)
+
+        monkeypatch.setattr(graphs, "_choice_pass", spy)
+        monkeypatch.setattr(graphs, "_pcg64_words", lambda seed: iter([(_UNIT // 2) << 11]))
+        g = gen_barabasi_albert(3, 1, seed=0)
+        assert passes == [[_UNIT // 2]]
+        assert list(g.edges()) == [(0, 1), (1, 2)]  # searchsorted(side="right") puts 1/2 in vertex 1
+
+
 class TestConnectivity:
     def test_cycle_is_connected(self):
         assert is_connected(cycle(8))
@@ -407,6 +454,16 @@ class TestEdgeListIO:
         path.write_text("0 1\n")
         with pytest.raises(EdgeListParseError, match="line 1"):
             read_edge_list(path)
+
+    def test_valid_file_is_checked_once(self, tmp_path, monkeypatch):
+        g = gen_barabasi_albert(60, 3, seed=2)
+        path = tmp_path / "g.edges"
+        write_edge_list(g, path)
+        calls = []
+        check = graphs._first_bad_edge
+        monkeypatch.setattr(graphs, "_first_bad_edge", lambda n, pairs: calls.append(n) or check(n, pairs))
+        assert read_edge_list(path) == g
+        assert calls == [60]
 
     @given(n=st.integers(2, 12), seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)

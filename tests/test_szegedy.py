@@ -10,10 +10,8 @@ from _oracles import (
     complete,
     cycle,
     dense_initial,
-    dense_marked_mass,
     dense_reflection,
     dense_search_step,
-    dense_swap,
     dense_trace,
     dense_uniform_chain,
     exceptional_by_definition,
