@@ -332,6 +332,9 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # str(MemoryError()) is empty
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -337,12 +337,19 @@ def fit_loglog(ns: Sequence[float], ts: Sequence[float]) -> RegressionResult:
     return RegressionResult(float(alpha), float(intercept), rse, int(x.size))
 
 
-def _per_n_geometric_means(pairs: Iterable[tuple[int, float]]) -> tuple[list[int], list[float]]:
-    """Group runtimes by n and average ln T per n (non-finite values dropped)."""
+def _per_n_geometric_means(pairs: Iterable[tuple[int, float]], label: str) -> tuple[list[int], list[float]]:
+    """Group runtimes by n and average ln T per n. Runtimes that are not finite and
+    positive are dropped, with a warning that counts them for label."""
     by_n: dict[int, list[float]] = {}
+    dropped = 0
     for n, t in pairs:
         if math.isfinite(t) and t > 0:
             by_n.setdefault(n, []).append(math.log(t))
+        else:
+            dropped += 1
+    if dropped:
+        # T_attacked = inf is the most successful attack, so a drop biases the fit down
+        logger.warning("fig3 %s: dropped %d non-finite or non-positive runtimes", label, dropped)
     ns = sorted(by_n)
     return ns, [math.exp(float(np.mean(by_n[n]))) for n in ns]
 
@@ -358,10 +365,12 @@ def regress_reports(reports: Sequence[AttackReport], models: Sequence[str]) -> l
     for model in models:
         rows = [r for r in reports if r.model == model]
         for variant, field in (("ref", "T_base"), ("attacked", "T_attacked")):
+            label = f"{model} {variant}"
+            means = _per_n_geometric_means(((r.n, getattr(r, field)) for r in rows), label)
             try:
-                out.append(fit_loglog(*_per_n_geometric_means((r.n, getattr(r, field)) for r in rows)))
+                out.append(fit_loglog(*means))
             except ValueError as exc:
-                raise ValueError(f"{model} {variant}: {exc}") from None
+                raise ValueError(f"{label}: {exc}") from None
     return out
 
 

@@ -43,7 +43,8 @@ def _edge_pairs(edges) -> np.ndarray:
 
 def _first_bad_edge(n: int, pairs: np.ndarray) -> Optional[tuple[int, str]]:
     """(position, message) of the first edge, in input order, that is out of range,
-    a self-loop, or a repeat of an earlier edge in either orientation."""
+    a self-loop, or a repeat of an earlier edge in either orientation. Graph runs it
+    only once its own check has failed, to word the error."""
     u, v = pairs.T
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     keys = lo * n + hi  # an out-of-range key may collide, but that edge is reported first
@@ -66,7 +67,9 @@ class Graph:
     indptr, indices and degrees are read-only int64 arrays. Construction
     validates simplicity (no self-loops, no duplicate edges in either
     orientation) and that every endpoint lies in [0, n), reporting the
-    first bad edge in input order.
+    first bad edge in input order. The check reads the one sort that builds
+    the rows: with every endpoint in range, a self-loop or a repeat in
+    either orientation puts some arc u*n + v in the sorted arcs twice.
     """
 
     __slots__ = ("_n", "indptr", "indices", "_degrees", "_starts")
@@ -75,11 +78,13 @@ class Graph:
         if n < 1:
             raise ValueError(f"vertex count must be positive, got {n}")
         pairs = _edge_pairs(edges)
-        bad = _first_bad_edge(n, pairs)
-        if bad:
-            raise ValueError(bad[1])
+        # an object array holds an endpoint beyond int64, so it is out of range
+        if pairs.dtype == object or (pairs.size and (pairs.min() < 0 or pairs.max() >= n)):
+            raise ValueError(_first_bad_edge(n, pairs)[1])
         u, v = pairs.T
         arcs = np.sort(np.concatenate((u * n + v, v * n + u)))
+        if np.any(arcs[1:] == arcs[:-1]):
+            raise ValueError(_first_bad_edge(n, pairs)[1])
         self._degrees = np.bincount(arcs // n, minlength=n)
         self.indptr = np.concatenate(([0], np.cumsum(self._degrees)))
         self.indices = arcs % n
@@ -194,12 +199,14 @@ def _pcg64_words(seed: int) -> Iterator[int]:
 
 
 def _pcg64_replay(seed: int):
-    """(random, integers): np.random.default_rng(seed)'s random() and integers(m),
-    replayed in plain Python from its PCG64 bit generator's random_raw words.
+    """(words, integers): np.random.default_rng(seed)'s PCG64 random_raw words, and
+    its integers(m) replayed in plain Python from the same words.
 
-    Each call returns what the same sequence of calls on the Generator would,
-    at a fraction of numpy's per-call cost. It replays numpy 2.4.6:
-    - a double is (word >> 11) * 2**-53;
+    The two share one iterator, so a word taken from `words` is gone for
+    `integers` too, as a Generator.random() call would take it. Each call
+    returns what the same sequence of calls on the Generator would, at a
+    fraction of numpy's per-call cost. It replays numpy 2.4.6:
+    - a double is (word >> 11) * 2**-53, and takes a whole word;
     - next_uint32 hands out a word's low 32 bits first and caches the high 32
       bits for the next 32-bit draw; doubles never touch that cache;
     - integers(m) for 2 <= m < 2**32 is Lemire's bounded draw: prod = r * m
@@ -210,9 +217,6 @@ def _pcg64_replay(seed: int):
     """
     words = _pcg64_words(seed)
     high = None  # the cached high half of the last word next_uint32 split
-
-    def random() -> float:
-        return (next(words) >> 11) * 2.0**-53
 
     def integers(m: int) -> int:
         nonlocal high
@@ -231,7 +235,14 @@ def _pcg64_replay(seed: int):
             if low >= m or low >= (1 << 32) % m:
                 return prod >> 32
 
-    return random, integers
+    return words, integers
+
+
+def _word_threshold(p: float) -> int:
+    """The raw word below which numpy's random() < p holds: a word's double is
+    (word >> 11) * 2**-53, and for an integer k, k < p * 2**53 exactly when
+    k < ceil(p * 2**53). Scaling by 2**53 is exact, and p = 1 gives 2**64."""
+    return math.ceil(p * 2.0**53) << 11
 
 
 def gen_watts_strogatz(n: int, k: int, beta: float, seed: int) -> Graph:
@@ -241,20 +252,28 @@ def gen_watts_strogatz(n: int, k: int, beta: float, seed: int) -> Graph:
     on each side; each lattice edge is rewired with probability beta, moving
     its far endpoint to a uniformly random non-neighbor. The edge count is
     exactly n*k/2 for every beta.
+
+    The draws are numpy 2.4.6's Generator.random() and integers(m) in slot
+    order, read from the replayed stream: each slot's coin is one raw word,
+    compared with _word_threshold(beta), and a rewired slot whose vertex has
+    a non-neighbor then draws its target with the replay's integers.
     """
     _check_ws(n, k, beta)
-    random, integers = _pcg64_replay(seed)
+    words, integers = _pcg64_replay(seed)
+    threshold = _word_threshold(beta)
     half = k // 2
     # sorted closed neighborhoods, cut from a doubled ring: row u is what u may not pick
     ring = list(range(n - half, n)) + list(range(n)) + list(range(half))
     closed = [sorted(ring[u : u + k + 1]) for u in range(n)]
     # far end of the lattice edge (u, u + off), at [(off - 1) * n + u]; rewiring moves it
     far = [(u + off) % n for off in range(1, half + 1) for u in range(n)]
-    for slot in range(half * n):
+    for slot, word in zip(range(half * n), words):
+        if word >= threshold:
+            continue  # kept
         u = slot % n
         row = closed[u]
-        if random() >= beta or len(row) >= n:
-            continue  # kept, or neighborhood full: nothing to rewire to
+        if len(row) >= n:
+            continue  # neighborhood full: nothing to rewire to
         # the w-th vertex outside row: row[i] - i non-members lie below row[i], a count
         # that never decreases in i, so it is w + i for the first i with row[i] - i > w
         w = integers(n - len(row))
@@ -396,7 +415,12 @@ def generate_graph(params: ModelParams, n: int, seed: int) -> Graph:
 
 
 def is_connected(graph: Graph) -> bool:
-    """True iff the graph has a single connected component (level-by-level BFS)."""
+    """True iff the graph has a single connected component (level-by-level BFS).
+
+    Each level's unseen neighbors are marked in an n-length bool mask, and the
+    next frontier is the mask's set positions, ascending and without repeats.
+    That costs O(n) a level, which the random models' few levels repay; a graph
+    with thousands of levels, such as a long path, is faster sorted per level."""
     indptr, indices, degrees = graph.indptr, graph.indices, graph.degrees
     seen = np.zeros(graph.n, dtype=bool)
     seen[0] = True
@@ -406,9 +430,11 @@ def is_connected(graph: Graph) -> bool:
         lengths = degrees[frontier]
         offsets = np.cumsum(lengths) - lengths
         pos = np.arange(int(lengths.sum())) + np.repeat(indptr[frontier] - offsets, lengths)
-        nbrs = indices[pos]
-        frontier = np.unique(nbrs[~seen[nbrs]])
-        seen[frontier] = True
+        level = np.zeros(graph.n, dtype=bool)
+        level[indices[pos]] = True
+        level &= ~seen
+        frontier = np.flatnonzero(level)
+        seen |= level
     return bool(seen.all())
 
 

@@ -61,6 +61,18 @@ class TestGenerate:
         assert f"error: need at least 2 vertices, got {n}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError(), "error: out of memory\n"),
+        (MemoryError("Unable to allocate 74.5 GiB"), "error: out of memory: Unable to allocate 74.5 GiB\n"),
+    ], ids=["bare", "numpy"])
+    def test_memory_error_exits_one_and_names_memory(self, tmp_path, monkeypatch, capsys, exc, message):
+        def command(args):
+            raise exc
+
+        monkeypatch.setitem(cli._COMMANDS, "generate", command)
+        code, _, err = run_cli(["generate", "--model", "er", "--n", "30", "--seed", "1", "--out", str(tmp_path / "g")], capsys)
+        assert (code, err) == (1, message)
+
 
 class TestScanEC:
     def test_cycle_has_two_2ec_rows(self, tmp_path, capsys):

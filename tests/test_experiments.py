@@ -431,6 +431,17 @@ class TestFig3:
             expected = 0.4 if variant == "ref" else 0.9
             assert res.alpha == pytest.approx(expected, abs=1e-12)
 
+    def test_dropped_runtimes_are_counted_per_model_and_variant(self, caplog):
+        reports = [make_report("er", n, 4, 3.0 * n ** 0.4, 0.5 * n ** 0.9) for n in (100, 200, 400)]
+        reports += [make_report("er", 200, 4, 3.0 * 200 ** 0.4, math.inf, seed=s) for s in (1, 2)]
+        reports += [make_report("ws", n, 4, 3.0 * n ** 0.4, 0.5 * n ** 0.9) for n in (100, 200, 400)]
+        with caplog.at_level(logging.WARNING, logger="qwattack.experiments"):
+            labeled = run_fig3(reports, ("er", "ws"))
+        assert [r.getMessage() for r in caplog.records] == [
+            "fig3 er attacked: dropped 2 non-finite or non-positive runtimes",
+        ]
+        assert [res.points for _, _, res in labeled] == [3, 3, 3, 3]
+
     def test_live_small_run(self, tmp_path):
         cfg = ExperimentConfig(
             experiment="fig3", models=("er",), n_grid=(40, 60, 80),

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import ba_reference, connected_by_bfs, connected_by_union_find, cycle, reference_rows, star, ws_reference
@@ -17,6 +17,7 @@ from qwattack.graphs import (
     ModelParams,
     _live_units,
     _pcg64_replay,
+    _word_threshold,
     default_er_p,
     default_ws_k,
     derive_seed,
@@ -149,6 +150,8 @@ class TestWattsStrogatzAgainstReference:
     """The generator against the set-based rewiring in _oracles: same stream, same edges."""
 
     @given(st.integers(3, 60), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    @example(6, 0.123, 0)  # k = 4 leaves one non-neighbor: integers(1), which draws nothing
+    @example(5, 0.5, 0)  # k = 4 fills every row: a rewired slot draws no target
     @settings(max_examples=25, deadline=None)
     def test_every_even_degree(self, n, beta, seed):
         for k in range(2, n, 2):
@@ -170,13 +173,14 @@ BOUNDS = (1, 2, 7, 2**31 + 1, 3 * 2**30 + 5, 2**32 - 1)
 
 def replay_matches_numpy(seed, order, draws, p_double):
     """Drive _pcg64_replay and a real Generator through one interleaving of random()
-    and integers(m), draws calls in all; return a lower bound on the 64-bit words used."""
+    and integers(m), draws calls in all; return a lower bound on the 64-bit words used.
+    A double is built here from one whole word of the replay's stream."""
     rng = np.random.default_rng(seed)
-    double, bounded = _pcg64_replay(seed)
+    words, bounded = _pcg64_replay(seed)
     doubles = halves = 0
     for i in range(draws):
         if order.random() < p_double:
-            assert double() == rng.random(), (seed, i)
+            assert (next(words) >> 11) * 2.0**-53 == rng.random(), (seed, i)
             doubles += 1
         else:
             m = order.choice(BOUNDS) if order.random() < 0.5 else order.randint(2, 5000)
@@ -193,6 +197,13 @@ class TestPcg64Replay:
     def test_interleaved_draws(self, seed, order_seed, p_double):
         words = replay_matches_numpy(seed, random.Random(order_seed), 6 * _RAW_CHUNK, p_double)
         assert words > 2 * _RAW_CHUNK  # the replay refilled its chunk at least twice
+
+    @pytest.mark.parametrize("p", [0.0, 2.0**-53, 0.1, 0.5, 1 - 2.0**-53, 1.0])
+    def test_word_threshold_is_random_below_p(self, p):
+        edge = math.ceil(p * 2.0**53)  # the first top-53-bit value whose double is not below p
+        tops = [k for k in (edge - 1, edge) if 0 <= k < 2**53]
+        for word in (k << 11 | low for k in tops for low in (0, 0x7FF)):
+            assert (word < _word_threshold(p)) == ((word >> 11) * 2.0**-53 < p), (p, word)
 
     @pytest.mark.parametrize("m", [0, -1, 2**32, 2**40])
     def test_bound_out_of_range(self, m):
@@ -463,7 +474,7 @@ class TestEdgeListIO:
         check = graphs._first_bad_edge
         monkeypatch.setattr(graphs, "_first_bad_edge", lambda n, pairs: calls.append(n) or check(n, pairs))
         assert read_edge_list(path) == g
-        assert calls == [60]
+        assert calls == []  # the message finder runs only for a bad edge
 
     @given(n=st.integers(2, 12), seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
