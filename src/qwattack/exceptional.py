@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .graphs import Graph
 
 
@@ -76,31 +78,40 @@ def find_3ec(graph: Graph, v: int) -> list[ExceptionalConfiguration]:
     subgraph is a path, not a triangle) and deg(b) = deg(a) + deg(c) in the
     full graph. Output is ordered triangles first, each group ascending by
     vertex tuple.
+
+    The rows of v's neighbors are read as one concatenated array: an entry
+    (a, c) is a triangle when c is a neighbor of v above a, and the end of a
+    path v-a-c when c lies outside v's closed neighborhood. The paths a-v-c
+    are the neighbor pairs with matching degrees that are not triangles.
     """
     _check_vertex(graph, v)
-    deg = graph.degree
-    found: list[ExceptionalConfiguration] = []
-    nbrs = [int(w) for w in graph.neighbors(v)]
-    for i, a in enumerate(nbrs):
-        for c in nbrs[i + 1 :]:
-            if graph.has_edge(a, c):
-                found.append(
-                    ExceptionalConfiguration(tuple(sorted((v, a, c))), ECKind.EC3_TRIANGLE, v)
-                )
-            elif deg(a) + deg(c) == deg(v):
-                # v is the middle of the induced path a-v-c
-                found.append(
-                    ExceptionalConfiguration(tuple(sorted((v, a, c))), ECKind.EC3_PATH, v)
-                )
-    near = {v, *nbrs}
-    for b in nbrs:
-        for c in graph.neighbors(b).tolist():
-            if c in near:
-                continue
-            if deg(b) == deg(v) + deg(c):
-                found.append(
-                    ExceptionalConfiguration(tuple(sorted((v, b, c))), ECKind.EC3_PATH, v)
-                )
+    degrees = graph.degrees
+    nbrs = graph.neighbors(v)
+    dv = graph.degree(v)
+    lengths = degrees[nbrs]
+    # the neighbors' rows, concatenated: entry j is the arc owner[j]-far[j]
+    owner, far = np.repeat(nbrs, lengths), graph.concat_neighbors(nbrs)
+    near = np.zeros(graph.n, dtype=bool)
+    near[nbrs] = True
+    tri = near[far] & (far > owner)  # each triangle once, from its lower end's row
+    # v-a-c: entries outside v's closed neighborhood with deg a = deg v + deg c
+    near[v] = True
+    beyond = ~near[far] & (np.repeat(lengths, lengths) == dv + degrees[far])
+    # a-v-c: neighbor pairs i < j with deg a + deg c = deg v, less the triangles
+    pair = np.add.outer(lengths, lengths) == dv
+    if pair.any():
+        pair[np.searchsorted(nbrs, owner[tri]), np.searchsorted(nbrs, far[tri])] = False
+    i, j = np.nonzero(pair)
+    upper = i < j
+    i, j = i[upper], j[upper]
+
+    def configs(kind, firsts, seconds):
+        return [ExceptionalConfiguration(tuple(sorted((v, a, c))), kind, v)
+                for a, c in zip(firsts.tolist(), seconds.tolist())]
+
+    found = (configs(ECKind.EC3_TRIANGLE, owner[tri], far[tri])
+             + configs(ECKind.EC3_PATH, nbrs[i], nbrs[j])
+             + configs(ECKind.EC3_PATH, owner[beyond], far[beyond]))
     found.sort(key=lambda ec: (_KIND_RANK[ec.kind], ec.vertices))
     return found
 

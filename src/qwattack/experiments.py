@@ -174,13 +174,18 @@ def _pick_2ec(graph, attempt_seed: int):
 
 def _spec_hits(graph, v: int, queries) -> list[bool]:
     """Whether each (orders, d) query, its orders from checked_orders, finds a
-    configuration at v, all from one scan over the union of their orders."""
-    union = sorted(set().union(*(orders for orders, _ in queries)))
-    found = find_ec_within_distance(graph, v, None, union)
-    hits = []
-    for orders, d in queries:
-        ecs = [ec for ec in found if ec.order in orders]
-        hits.append(bool(within_one_hop(graph, v, ecs) if d == 1 else ecs))
+    configuration at v.
+
+    An order-2 scan runs first. A 2EC at v lies within one hop, so it decides
+    every query whose orders include 2, for any d; the order-3 scan runs only
+    if some query with order 3 is still open."""
+    has_2ec = bool(find_2ec(graph, v))
+    hits = [has_2ec and 2 in orders for orders, _ in queries]
+    pending = [k for k, (orders, _) in enumerate(queries) if 3 in orders and not hits[k]]
+    if pending:
+        found = find_ec_within_distance(graph, v, None, [3])
+        for k in pending:
+            hits[k] = bool(within_one_hop(graph, v, found) if queries[k][1] == 1 else found)
     return hits
 
 
@@ -189,7 +194,7 @@ def _formation_counts(params: ModelParams, n: int, specs, samples: int, *seed_pa
 
     Every spec is checked before the first draw. Sample i takes the first
     connected draw seeded by (*seed_parts, i) and one uniform vertex from
-    derive_seed(attempt_seed, 1), and one scan at that vertex decides every spec.
+    derive_seed(attempt_seed, 1); _spec_hits decides every spec at that vertex.
     """
     queries = [(checked_orders(orders, d), d) for orders, d in specs]
     hits = [0] * len(specs)

@@ -113,6 +113,12 @@ class Graph:
         """Sorted read-only view of the neighbors of v."""
         return self.indices[self._starts[v] : self._starts[v + 1]]
 
+    def concat_neighbors(self, vertices: np.ndarray) -> np.ndarray:
+        """The neighbor rows of `vertices`, an int64 array, concatenated in order."""
+        lengths = self._degrees[vertices]
+        offsets = np.cumsum(lengths) - lengths
+        return self.indices[np.arange(int(lengths.sum())) + np.repeat(self.indptr[vertices] - offsets, lengths)]
+
     def has_edge(self, u: int, v: int) -> bool:
         row = self.neighbors(u)
         i = int(row.searchsorted(v))
@@ -290,21 +296,9 @@ def gen_watts_strogatz(n: int, k: int, beta: float, seed: int) -> Graph:
 
 
 _UNIT = 1 << 53  # a double draw is k / 2**53, k the top 53 bits of a word
-
-
-def _live_units(ks: list[int], live: int, v: int) -> Optional[list[int]]:
-    """The unit (k * live) >> 53 that each draw k / 2**53 falls in among live degree
-    units, or None if a draw lies within 4 * (v + 2) * 2**-53 of a step D / live of
-    the exact CDF over v vertices. That is twice the most by which numpy's float CDF
-    strays from the exact one, so outside it the float pass picks the same units."""
-    margin = 4 * (v + 2) * live
-    units = []
-    for k in ks:
-        x = k * live
-        if not margin < x & (_UNIT - 1) < _UNIT - margin:
-            return None
-        units.append(x >> 53)
-    return units
+# a draw within _BAND * (v + 2) * 2**-53 of a step of the exact CDF over v vertices is
+# left to numpy's float pass: twice the most by which its float CDF strays from the exact one
+_BAND = 4
 
 
 def _choice_pass(degrees: list[int], total: int, found: list[int], ks: list[int]) -> list[int]:
@@ -334,8 +328,9 @@ def gen_barabasi_albert(n: int, m0: int, seed: int) -> Graph:
     degree units. numpy's float CDF strays from the exact one by at most
     (2v + 4) * 2**-53 (the bound for recursive summation of positive terms,
     Higham 2002, ch. 4), so the integer pick is numpy's whenever x lies more
-    than twice that from every step. A pass with a draw any closer runs
-    numpy's float pass on the same draws instead.
+    than twice that from every step. Each draw is checked and its pick kept
+    as it is read; a draw any closer drops the pass's picks and runs numpy's
+    float pass on all of the pass's draws instead.
     """
     _check_ba(n, m0)
     words = _pcg64_words(seed)
@@ -347,24 +342,27 @@ def gen_barabasi_albert(n: int, m0: int, seed: int) -> Graph:
         found: list[int] = []
         skips: list[tuple[int, int]] = []  # (start in ends, length) of each zeroed run
         while len(found) < m0:
+            kept = len(found)
             if found:
                 live = total - sum(degrees[t] for t in found)
                 skips = sorted((bisect_left(ends, t), degrees[t]) for t in found)
-            ks = [word >> 11 for word in islice(words, m0 - len(found))]
-            units = _live_units(ks, live, v)
-            if units is not None:
-                picks = []
-                for i in units:
-                    for start, run in skips:  # step over the zeroed runs
-                        if i < start:
-                            break
-                        i += run
-                    picks.append(ends[i])
-            else:
-                picks = _choice_pass(degrees, total, found, ks)
-            for t in picks:
-                if t not in found:
-                    found.append(t)
+            margin = _BAND * (v + 2) * live
+            ks = [word >> 11 for word in islice(words, m0 - kept)]
+            for k in ks:
+                x = k * live
+                if not margin < x & (_UNIT - 1) < _UNIT - margin:
+                    del found[kept:]  # too near a step: the whole pass is numpy's float pass
+                    for t in _choice_pass(degrees, total, found, ks):
+                        if t not in found:
+                            found.append(t)
+                    break
+                i = x >> 53  # the draw's unit among the live degree units
+                for start, run in skips:  # step over the zeroed runs
+                    if i < start:
+                        break
+                    i += run
+                if ends[i] not in found:
+                    found.append(ends[i])
         for t in found:
             degrees[t] += 1
             insort(ends, t)
@@ -417,24 +415,29 @@ def generate_graph(params: ModelParams, n: int, seed: int) -> Graph:
 def is_connected(graph: Graph) -> bool:
     """True iff the graph has a single connected component (level-by-level BFS).
 
-    Each level's unseen neighbors are marked in an n-length bool mask, and the
-    next frontier is the mask's set positions, ascending and without repeats.
-    That costs O(n) a level, which the random models' few levels repay; a graph
-    with thousands of levels, such as a long path, is faster sorted per level."""
-    indptr, indices, degrees = graph.indptr, graph.indices, graph.degrees
-    seen = np.zeros(graph.n, dtype=bool)
+    The next frontier is a level's unseen neighbors, ascending and without
+    repeats. A level with fewer than n/16 candidates sorts them and drops
+    repeats (np.sort, not np.unique, whose first call maps about 1 MB more);
+    a larger one marks them in an n-length bool mask, whose O(n) a level the
+    random models' few wide levels repay, while a path's thousands of
+    one-vertex levels would not."""
+    n = graph.n
+    seen = np.zeros(n, dtype=bool)
     seen[0] = True
     frontier = np.zeros(1, dtype=np.int64)
     while frontier.size:
-        # positions of the frontier's rows in indices, concatenated
-        lengths = degrees[frontier]
-        offsets = np.cumsum(lengths) - lengths
-        pos = np.arange(int(lengths.sum())) + np.repeat(indptr[frontier] - offsets, lengths)
-        level = np.zeros(graph.n, dtype=bool)
-        level[indices[pos]] = True
-        level &= ~seen
-        frontier = np.flatnonzero(level)
-        seen |= level
+        cand = graph.concat_neighbors(frontier)
+        if cand.size < n >> 4:
+            frontier = np.sort(cand[~seen[cand]])
+            first = np.ones(frontier.size, dtype=bool)
+            first[1:] = frontier[1:] != frontier[:-1]
+            frontier = frontier[first]
+        else:
+            level = np.zeros(n, dtype=bool)
+            level[cand] = True
+            level &= ~seen
+            frontier = np.flatnonzero(level)
+        seen[frontier] = True
     return bool(seen.all())
 
 

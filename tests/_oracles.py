@@ -9,6 +9,7 @@ import itertools
 
 import numpy as np
 
+from qwattack.exceptional import ECKind, ExceptionalConfiguration
 from qwattack.graphs import Graph
 
 
@@ -335,6 +336,29 @@ def path_middle(graph: Graph, triple) -> int:
         if graph.has_edge(v, others[0]) and graph.has_edge(v, others[1]):
             return v
     raise ValueError(f"{triple} is not an induced path")
+
+
+def find_3ec_reference(graph: Graph, v: int) -> list[ExceptionalConfiguration]:
+    """find_3ec's first form, pair by pair over v's neighbors with has_edge and
+    Python sets: triangles, then the paths a-v-c, then v-b-c, sorted by kind
+    (triangles first) and vertex tuple. The array form must list the same."""
+    deg = graph.degree
+    found: list[ExceptionalConfiguration] = []
+    nbrs = [int(w) for w in graph.neighbors(v)]
+    for i, a in enumerate(nbrs):
+        for c in nbrs[i + 1 :]:
+            if graph.has_edge(a, c):
+                found.append(ExceptionalConfiguration(tuple(sorted((v, a, c))), ECKind.EC3_TRIANGLE, v))
+            elif deg(a) + deg(c) == deg(v):
+                # v is the middle of the induced path a-v-c
+                found.append(ExceptionalConfiguration(tuple(sorted((v, a, c))), ECKind.EC3_PATH, v))
+    near = {v, *nbrs}
+    for b in nbrs:
+        for c in graph.neighbors(b).tolist():
+            if c not in near and deg(b) == deg(v) + deg(c):
+                found.append(ExceptionalConfiguration(tuple(sorted((v, b, c))), ECKind.EC3_PATH, v))
+    found.sort(key=lambda ec: (ec.kind != ECKind.EC3_TRIANGLE, ec.vertices))
+    return found
 
 
 def brute_force_ecs(graph: Graph, v: int) -> set:

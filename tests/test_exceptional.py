@@ -10,6 +10,7 @@ from _oracles import (
     complete,
     cycle,
     exceptional_by_definition,
+    find_3ec_reference,
     path_middle,
     star,
 )
@@ -21,7 +22,7 @@ from qwattack.exceptional import (
     find_ec_within_distance,
 )
 from qwattack.experiments import ec_formation_probability, wilson_interval
-from qwattack.graphs import Graph, ModelParams, gen_erdos_renyi
+from qwattack.graphs import Graph, ModelParams, gen_erdos_renyi, generate_graph
 
 
 def middle_degree_example_graph():
@@ -96,6 +97,26 @@ class TestFind3EC:
             if any(ec.kind is ECKind.EC3_PATH for ec in find_3ec(g, v)):
                 hits += 1
         assert hits / 50 < 0.05
+
+
+class TestFind3ECAgainstReference:
+    """The array form of find_3ec against the pair-by-pair loop in _oracles, list for list."""
+
+    @pytest.mark.parametrize("model", ["er", "ws", "ba"])
+    def test_every_vertex_of_model_draws(self, model):
+        for seed in range(3):
+            g = generate_graph(ModelParams(model), 200, seed)
+            for v in range(g.n):
+                assert find_3ec(g, v) == find_3ec_reference(g, v), (model, seed, v)
+
+    def test_small_graphs(self):
+        # an isolated vertex, K5 (triangles only), and a triangle whose ends' degrees sum
+        # to the middle's, which is a triangle and not a path
+        for g in (Graph(4, [(0, 1), (1, 2)]), complete(5), middle_degree_example_graph(), star(3)):
+            for v in range(g.n):
+                assert find_3ec(g, v) == find_3ec_reference(g, v), (g, v)
+        assert find_3ec(Graph(4, [(0, 1), (1, 2)]), 3) == []
+        assert len(find_3ec(complete(5), 2)) == 6
 
 
 class TestBruteForceEquivalence:

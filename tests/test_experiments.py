@@ -6,7 +6,7 @@ import pytest
 
 from qwattack import experiments
 from qwattack.attack import AttackReport
-from qwattack.exceptional import checked_orders, find_ec_within_distance
+from qwattack.exceptional import checked_orders, find_2ec, find_ec_within_distance
 from qwattack.experiments import (
     ExperimentConfig,
     Fig2CsvParseError,
@@ -198,30 +198,47 @@ class TestFig1:
 
 
 class TestFormationScan:
-    """One EC scan per fig1 sample decides every (orders, d) spec."""
+    """An order-2 scan, then an order-3 scan only if a query is still open, decides
+    every (orders, d) spec of a fig1 sample."""
 
     SPECS = [(orders, d) for orders in ((2,), (3,), (2, 3)) for d in (None, 1, 2)]
 
     @pytest.mark.parametrize("model", ["er", "ws", "ba"])
     def test_one_scan_matches_each_query(self, model):
-        queries = [(checked_orders(orders, d), d) for orders, d in self.SPECS]
+        # the lazy hits against each query's own eager scan, for every spec together,
+        # each spec alone and fig1's three panels
+        subsets = [self.SPECS] + [[spec] for spec in self.SPECS] + [list(experiments._PANEL_SPEC.values())]
         for n, seed in ((12, 1), (12, 2), (30, 3), (30, 4)):
             g = generate_graph(ModelParams(model), n, seed)
             for v in range(n):
-                expected = [bool(find_ec_within_distance(g, v, d, orders)) for orders, d in self.SPECS]
-                assert experiments._spec_hits(g, v, queries) == expected, (model, n, seed, v)
+                for specs in subsets:
+                    queries = [(checked_orders(orders, d), d) for orders, d in specs]
+                    expected = [bool(find_ec_within_distance(g, v, d, orders)) for orders, d in specs]
+                    assert experiments._spec_hits(g, v, queries) == expected, (model, n, seed, v, specs)
 
     def test_one_scan_per_sample(self, monkeypatch):
         calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return find_ec_within_distance(*args)
+        def spy(name, scan):
+            def counted(graph, v, *rest):
+                found = scan(graph, v, *rest)
+                calls.append((name, id(graph), v, rest, bool(found)))
+                return found
+            return counted
 
-        monkeypatch.setattr(experiments, "find_ec_within_distance", counted)
+        monkeypatch.setattr(experiments, "find_2ec", spy("order 2", find_2ec))
+        monkeypatch.setattr(experiments, "find_ec_within_distance", spy("order 3", find_ec_within_distance))
         run_fig1(ExperimentConfig("fig1", models=("ws",), n_grid=(40, 60), samples_per_n=5, root_seed=2))
-        assert len(calls) == 2 * 5
-        assert all(args[2] is None and list(args[3]) == [2, 3] for args in calls)
+        samples = [c for c in calls if c[0] == "order 2"]
+        assert len(samples) == 2 * 5
+        assert {has_2ec for *_, has_2ec in samples} == {False, True}  # both kinds of sample ran
+        # each sample's order-2 scan, then an order-3 scan at the same vertex if it found none
+        expected = []
+        for name, graph, v, rest, has_2ec in samples:
+            expected.append((name, graph, v, rest))
+            if not has_2ec:
+                expected.append(("order 3", graph, v, (None, [3])))
+        assert [c[:4] for c in calls] == expected
 
     @pytest.mark.parametrize("orders,d,message", [
         ((2, 3), 5, "hop distance must be 1, 2, or None, got 5"),

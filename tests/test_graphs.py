@@ -7,7 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import ba_reference, connected_by_bfs, connected_by_union_find, cycle, reference_rows, star, ws_reference
+from _oracles import (
+    ba_reference,
+    connected_by_bfs,
+    connected_by_union_find,
+    cycle,
+    path,
+    reference_rows,
+    star,
+    ws_reference,
+)
 from qwattack import graphs
 from qwattack.graphs import (
     _RAW_CHUNK,
@@ -15,7 +24,7 @@ from qwattack.graphs import (
     EdgeListParseError,
     Graph,
     ModelParams,
-    _live_units,
+    _choice_pass,
     _pcg64_replay,
     _word_threshold,
     default_er_p,
@@ -268,32 +277,52 @@ class TestBarabasiAlbertAgainstReference:
             assert gen_barabasi_albert(n, m0, seed) == ba_reference(n, m0, seed), (n, m0, seed)
 
     def test_float_pass_alone_gives_the_reference(self, monkeypatch):
-        monkeypatch.setattr(graphs, "_live_units", lambda ks, live, v: None)
+        monkeypatch.setattr(graphs, "_BAND", _UNIT)  # a band wider than the unit: no draw is trusted
         for n, m0, seed in ((7, 5, 3), (60, 1, 0), (300, 3, 4), (600, 5, 9)):
             assert gen_barabasi_albert(n, m0, seed) == ba_reference(n, m0, seed), (n, m0, seed)
 
-    def test_units_only_clear_of_every_step(self):
-        # live = 8: k * live lies 8 * (k mod 2**50) past a step; the margin is 4 * (4 + 2) * 8 = 192
-        live, v = 8, 4
-        assert _live_units([25, 2**50 - 25, 2**52 + 25], live, v) == [0, 0, 4]
-        for k in (0, 24, 2**50, 2**50 - 24, 2**50 + 24):
-            assert _live_units([25, k], live, v) is None, k
-        assert _live_units([2**52], 6, v) is None  # 6 * 2**52 = 3 * 2**53 exactly
+    @staticmethod
+    def crafted(monkeypatch, n, m0, ks):
+        """gen_barabasi_albert(n, m0) reading the draws k / 2**53 in ks as its words:
+        (the graph, the draws of each float pass it ran)."""
+        passes = []
+
+        def spy(degrees, total, found, pass_ks):
+            passes.append(pass_ks)
+            return _choice_pass(degrees, total, found, pass_ks)
+
+        monkeypatch.setattr(graphs, "_choice_pass", spy)
+        monkeypatch.setattr(graphs, "_pcg64_words", lambda seed: iter([k << 11 for k in ks]))
+        return gen_barabasi_albert(n, m0, seed=0), passes
+
+    def test_units_only_clear_of_every_step(self, monkeypatch):
+        # n = 3, m0 = 1: vertex 2 picks from degrees [1, 1], live = 2, so a draw k / 2**53 lies
+        # 2 * (k mod 2**52) units of 2**-53 past a step; the band is 4 * (2 + 2) * 2 = 32
+        for k, pick in ((17, 0), (2**52 - 17, 0), (2**52 + 17, 1), (2**53 - 17, 1)):
+            g, passes = self.crafted(monkeypatch, 3, 1, [k])
+            assert passes == [], k
+            assert list(g.edges()) == sorted([(0, 1), (pick, 2)]), k
+        for k in (0, 16, 2**52 - 16, 2**52, 2**52 + 16, 2**53 - 16):
+            g, passes = self.crafted(monkeypatch, 3, 1, [k])
+            assert passes == [[k]], k
+            pick = _choice_pass([1, 1], 2, [], [k])[0]
+            assert list(g.edges()) == sorted([(0, 1), (pick, 2)]), k
 
     def test_draw_on_a_cdf_step_takes_the_float_pass(self, monkeypatch):
         # n = 3, m0 = 1: vertex 2 picks from degrees [1, 1], and x = 1/2 is the step between them
-        passes = []
-        choice_pass = graphs._choice_pass
-
-        def spy(degrees, total, found, ks):
-            passes.append(ks)
-            return choice_pass(degrees, total, found, ks)
-
-        monkeypatch.setattr(graphs, "_choice_pass", spy)
-        monkeypatch.setattr(graphs, "_pcg64_words", lambda seed: iter([(_UNIT // 2) << 11]))
-        g = gen_barabasi_albert(3, 1, seed=0)
+        g, passes = self.crafted(monkeypatch, 3, 1, [_UNIT // 2])
         assert passes == [[_UNIT // 2]]
         assert list(g.edges()) == [(0, 1), (1, 2)]  # searchsorted(side="right") puts 1/2 in vertex 1
+
+    def test_band_draw_drops_the_picks_read_before_it(self, monkeypatch):
+        # n = 4, m0 = 2: vertex 3 picks twice from degrees [2, 2, 2], live = 6, band 120.
+        # 100 is clear of every step and reads vertex 0; the second draw is fl(2/3), on the
+        # step between vertices 1 and 2. The float pass over both draws picks 0, then 2;
+        # with 0 kept and zeroed, it would pick 1 and 2 as well.
+        second = 2 * _UNIT // 3
+        g, passes = self.crafted(monkeypatch, 4, 2, [100, second])
+        assert passes == [[100, second]]
+        assert list(g.edges()) == [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]
 
 
 class TestConnectivity:
@@ -312,6 +341,18 @@ class TestConnectivity:
     def test_matches_union_find_oracle(self, seed):
         g = gen_erdos_renyi(12, 0.18, seed=seed)
         assert is_connected(g) == connected_by_union_find(g)
+
+    def test_many_levels_match_bfs(self):
+        # levels of one or two vertices (a path, a beta = 0 ring lattice, two rings joined
+        # far from vertex 0) are deduped by sorting; a broom's last level, 99 leaves of
+        # n = 200, is at least n/16 wide and takes the mask
+        ring = list(gen_watts_strogatz(2000, 4, 0.0, seed=0).edges())
+        rings = [(i, (i + 1) % 600) for i in range(600)] + [(i, 600 + (i + 1) % 600) for i in range(600, 1200)]
+        broom = list(path(101).edges()) + [(100, leaf) for leaf in range(101, 200)]
+        cases = [(3000, list(path(3000).edges())), (2000, ring), (1200, rings + [(300, 900)]),
+                 (1200, rings), (200, broom), (201, broom)]
+        for n, edges in cases:
+            assert is_connected(Graph(n, edges)) == connected_by_bfs(reference_rows(n, edges)), n
 
     @pytest.mark.slow
     def test_er_above_threshold_is_usually_connected(self):
@@ -366,6 +407,8 @@ class TestCsrAgainstReference:
         assert [g.neighbors(v).tolist() for v in range(n)] == rows
         assert g.degrees.tolist() == [len(r) for r in rows]
         assert g.indptr.tolist() == np.cumsum([0] + [len(r) for r in rows]).tolist()
+        some = np.array([v for v in range(n) for _ in range(v % 3)][::-1], dtype=np.int64)  # repeats, any order
+        assert g.concat_neighbors(some).tolist() == [w for v in some for w in rows[v]]
         assert list(g.edges()) == sorted((min(e), max(e)) for e in edges)
         assert g.num_edges == len(edges)
         for a in (g.indptr, g.indices, g.degrees, g.neighbors(0)):
