@@ -11,8 +11,9 @@ lets the defender re-optimize the measurement time on the attacked search.
 
 import math
 from dataclasses import dataclass, field, fields
+from itertools import islice, tee
 from numbers import Real
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,8 +75,17 @@ def optimize_measurement_time(
     """
     if t_pen < 0:
         raise ValueError(f"t_pen must be nonnegative, got {t_pen}")
+    return _scan(_walk(graph, marked), t_pen)
+
+
+def _walk(graph: Graph, marked: Iterable[int]) -> Iterator[float]:
+    """Success probabilities p(0), p(1), ... of the search walk, stepped lazily."""
     start = initial_state(uniform_stochastic(graph))
-    probs = WalkOperator(start.space, marked).probabilities(start)
+    return WalkOperator(start.space, marked).probabilities(start)
+
+
+def _scan(probs: Iterator[float], t_pen: int) -> OptimizeResult:
+    """optimize_measurement_time's scan over p(0), p(1), ...: it reads p(t) only while t + t_pen < B."""
     p = next(probs)
     if p <= 0.0:
         raise ValueError("initial success probability is zero; marked set must be nonempty")
@@ -175,15 +185,17 @@ def evaluate_attack(
     search marks all of its vertices. The base measurement time is the base
     search's optimal time under the penalty; the attacked search is measured
     at that same time, and the defender's re-optimized time and runtime
-    complete the report. The penalty must be at least 1: with none both
-    optima sit at t = 0 with T_opt = 0, and the strong efficiency
-    1 - T_base / T_opt is undefined.
+    complete the report. The attacked set is walked once: its scan keeps each
+    p(t) it reads, and the walk steps on to t_base if the scan stopped before
+    it. The penalty must be at least 1: with none both optima sit at t = 0
+    with T_opt = 0, and the strong efficiency 1 - T_base / T_opt is undefined.
     """
     if t_pen < 1:
         raise ValueError(f"t_pen must be at least 1, got {t_pen}")
     base_opt = optimize_measurement_time(graph, [ec.anchor], t_pen)
-    p_att = probability_at(graph, ec.vertices, base_opt.t_opt)
-    att_opt = optimize_measurement_time(graph, ec.vertices, t_pen)
+    scanned, kept = tee(_walk(graph, ec.vertices))
+    att_opt = _scan(scanned, t_pen)
+    p_att = next(islice(kept, base_opt.t_opt, None))
     return AttackReport(
         model=model,
         n=graph.n,

@@ -10,9 +10,7 @@ worker count, and any CSV row can be re-derived from its recorded seed alone.
 import csv
 import logging
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields
 from typing import Iterable, Optional, Sequence
 
@@ -132,6 +130,9 @@ def _run_pool(worker, tasks, workers: int):
         )
     if limit == 1:
         return [worker(t) for t in tasks]
+    import multiprocessing  # here, not at the top: imports and single-worker runs skip the pool modules
+    from concurrent.futures import ProcessPoolExecutor
+
     saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:

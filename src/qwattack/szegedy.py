@@ -1,21 +1,20 @@
 """Szegedy search walk on the arcs of a graph.
 
-Under the uniform chain P(w, v) = 1/deg(v) only the arcs (v, w), w ~ v, of
-the ordered-pair space carry amplitude, so the real walk state lives on the
-graph's 2|E| CSR arcs. PairSpace is both that arc space and the chain: arc
-(v, w) carries the weight P(w, v). One search step applies the two
-reflections of the quantized chain, each composed with a phase oracle that
-negates marked arcs:
+Under the uniform chain P(w, v) = 1/deg(v) only the arcs (v, w), w ~ v, of the
+ordered-pair space carry amplitude, so the real walk state lives on the graph's
+2|E| CSR arcs. PairSpace is both that arc space and the chain: arc (v, w) carries
+the weight P(w, v). One search step applies the two reflections of the quantized
+chain, each composed with a phase oracle that negates marked arcs:
 
     step = R2 Q2 R1 Q1
 
-where R1 = 2 sum_v |v, phi_v><v, phi_v| - I with phi_v(w) = sqrt(P(w, v))
-built from the UNMODIFIED chain P, R2 = Swap R1 Swap, Q1 negates the arcs
-leaving a marked vertex, and Q2 = Swap Q1 Swap. On the arcs leaving one
-vertex this is the Grover diffusion coin at unmarked vertices and its
-negation at marked ones, the walk for which marked subgraphs with the
-degree-sum property admit stationary states that suppress the search. With
-an empty marked set the step reduces to the plain quantized walk R2 R1.
+where R1 = 2 sum_v |v, phi_v><v, phi_v| - I with phi_v(w) = sqrt(P(w, v)) built
+from the UNMODIFIED chain P, R2 = Swap R1 Swap, Q1 negates the arcs leaving a
+marked vertex, and Q2 = Swap Q1 Swap. On the arcs leaving one vertex this is the
+Grover diffusion coin at unmarked vertices and its negation at marked ones, the
+walk for which marked subgraphs with the degree-sum property admit stationary
+states that suppress the search. With an empty marked set the step reduces to
+the plain quantized walk R2 R1.
 """
 
 import math
@@ -82,9 +81,8 @@ def uniform_stochastic(graph: Graph) -> PairSpace:
 class WalkState:
     """Real amplitude vector over a PairSpace.
 
-    A state that WalkOperator.apply returns carries the norm its drift check
-    computed, and its amplitudes are read-only so that norm cannot go stale.
-    Any other state computes its norm on demand.
+    A state that WalkOperator.apply returns carries the norm its drift check computed, and
+    its amplitudes are read-only so that norm cannot go stale. Others compute it on demand.
     """
 
     __slots__ = ("space", "_amps", "_norm")
@@ -135,23 +133,20 @@ def _probability(amps: np.ndarray, marked_arcs: np.ndarray) -> float:
 class WalkOperator:
     """One search-walk step: chain reflections composed with marked-phase oracles.
 
-    Holds the chain P, which is also the arc space, and the marked set S.
-    reflect_first and reflect_second expose the bare reflections R1 and
-    R2 = Swap R1 Swap (each an involution); apply performs the search step
-    R2 Q2 R1 Q1.
+    Holds the chain P, which is also the arc space, and the marked set S. reflect_first and
+    reflect_second expose the bare reflections R1 and R2 = Swap R1 Swap (each an involution);
+    apply performs the search step R2 Q2 R1 Q1, and probabilities walks it on raw arrays.
 
-    R2 Q2 = Swap R1 Q1 Swap is applied without permuting the state: R2 reflects
-    the arcs entering each vertex w about sqrt(1/deg w), and Q2 negates the arcs
-    entering a marked vertex. The arcs are sorted by (first, second), so each of
-    those block sums adds the same terms in the same order as the permuted form.
-    Both scale a block's overlap by the one factor 2 sqrt(1/deg) of its vertex,
-    exactly (see _reflect). An operator steps through scratch vectors of its
-    own, so it must not step states from two threads at once.
+    R2 Q2 = Swap R1 Q1 Swap is applied without permuting the state: R2 reflects the arcs
+    entering each vertex w about sqrt(1/deg w), and Q2 negates the arcs entering a marked
+    vertex. The arcs are sorted by (first, second), so each block sum adds the same terms in
+    the same order as the permuted form (see _reflect). Q1 is -I or I on each block R1
+    reflects, and rounding is symmetric under negation, so R1 Q1 = Q1 R1 bit for bit (up to
+    the sign of an exact zero), and Q2 Q1 is one flip of the arcs with exactly one marked
+    end. Its scratch vector makes an operator unsafe to step from two threads at once.
     """
 
-    def __init__(
-        self, chain: PairSpace, marked: Iterable[int] = (), space: Optional[PairSpace] = None
-    ):
+    def __init__(self, chain: PairSpace, marked: Iterable[int] = (), space: Optional[PairSpace] = None):
         if space is not None and space != chain:
             raise ValueError(f"{space} is not the arc space of the chain on {chain.n} vertices")
         self.marked = frozenset(int(v) for v in marked)
@@ -162,8 +157,8 @@ class WalkOperator:
         self._profile = np.sqrt(space.weights)
         self._marked_arcs = _marked_arcs(space.first, space.n, self.marked)
         self._swapped_profile = vertex_profile[space.second]
-        self._swapped_marked_arcs = _marked_arcs(space.second, space.n, self.marked)
-        self._after_q1 = np.empty(space.size)
+        entering = _marked_arcs(space.second, space.n, self.marked)
+        self._flipped_arcs = np.setxor1d(self._marked_arcs, entering, assume_unique=True)
         self._weighted = np.empty(space.size)
 
     def _check_space(self, state: WalkState) -> None:
@@ -195,39 +190,38 @@ class WalkOperator:
         self._check_space(state)
         return WalkState(self.space, self._reflect(state.amps, leaving=False))
 
+    def _step(self, amps: np.ndarray, norm_in: float) -> tuple[np.ndarray, float]:
+        """R2 Q2 R1 Q1 on raw amplitudes: a new array and its norm; raises on norm drift."""
+        r1 = self._reflect(amps, leaving=True)
+        r1[self._flipped_arcs] *= -1.0  # Q2 Q1, with Q1 moved past R1 (see the class docstring)
+        out = self._reflect(r1, leaving=False)
+        norm_out = math.sqrt(out.dot(out))  # what np.linalg.norm computes for a real vector
+        if abs(norm_out - norm_in) > NORM_DRIFT_LIMIT * max(1.0, norm_in):
+            raise NumericalStabilityError(f"walk step changed the state norm from {norm_in} to {norm_out}")
+        return out, norm_out
+
     def apply(self, state: WalkState) -> WalkState:
         """One full search step R2 Q2 R1 Q1; raises on norm drift beyond 1e-8."""
         self._check_space(state)
-        q1 = self._after_q1
-        np.copyto(q1, state.amps)
-        q1[self._marked_arcs] *= -1.0
-        r1 = self._reflect(q1, leaving=True)
-        r1[self._swapped_marked_arcs] *= -1.0  # Q2, read through the swap
-        amps = self._reflect(r1, leaving=False)
-        norm_in = state.norm()
-        norm_out = math.sqrt(amps.dot(amps))  # what np.linalg.norm computes for a real vector
-        if abs(norm_out - norm_in) > NORM_DRIFT_LIMIT * max(1.0, norm_in):
-            raise NumericalStabilityError(
-                f"walk step changed the state norm from {norm_in} to {norm_out}"
-            )
-        return WalkState._stepped(self.space, amps, norm_out)
+        return WalkState._stepped(self.space, *self._step(state.amps, state.norm()))
 
     def probabilities(self, state: WalkState) -> Iterator[float]:
         """Success probabilities p(0), p(1), ... of the marked set, walking from state.
 
-        Steps run lazily: taking p(t) applies the t-th step, so a caller
-        that stops after p(t) has walked exactly t steps.
+        Steps run lazily: taking p(t) applies the t-th step, so a caller that stops
+        after p(t) has walked exactly t steps. Each step runs the drift check of apply.
         """
+        self._check_space(state)
+        amps, norm = state.amps, state.norm()
         while True:
-            yield _probability(state.amps, self._marked_arcs)
-            state = self.apply(state)
+            yield _probability(amps, self._marked_arcs)
+            amps, norm = self._step(amps, norm)
 
 
 def initial_state(chain: PairSpace) -> WalkState:
     """Uniform superposition of column profiles: amp(v, w) = sqrt(P(w, v)) / sqrt(n).
 
-    The first-vertex marginal is exactly uniform, so any marked set S
-    starts at success probability |S|/n.
+    The first-vertex marginal is exactly uniform, so any marked set S starts at p = |S|/n.
     """
     return WalkState(chain, np.sqrt(chain.weights) / math.sqrt(chain.n))
 
@@ -241,9 +235,9 @@ def success_probability(state: WalkState, marked: Iterable[int]) -> float:
 
 
 def probability_trace(graph: Graph, marked: Iterable[int], t_max: int) -> np.ndarray:
-    """Success probabilities p(0..t_max) of the search walk for the marked set.
+    """Success probabilities p(0..t_max) of the search walk for the marked set S.
 
-    The walk starts from the uniform column superposition, so p(0) = |S|/n.
+    The walk starts from initial_state, so p(0) = |S|/n.
     """
     if t_max < 0:
         raise ValueError(f"t_max must be nonnegative, got {t_max}")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from _oracles import brute_force_optimum, complete, cycle
-from qwattack import attack
+from qwattack import attack, szegedy
 from qwattack.attack import (
     AttackReport,
     default_t_pen,
@@ -153,16 +153,20 @@ class TestEvaluateAttack:
         ec = find_2ec(g, anchor)[0]
         report = evaluate_attack(g, ec, 4)
         attacked_marked = sorted({anchor} | set(ec.vertices))
-        assert report.p_attacked == pytest.approx(
-            probability_at(g, attacked_marked, report.t_base), abs=1e-14
-        )
+        assert report.p_attacked == probability_at(g, attacked_marked, report.t_base)
 
-    def test_walks_through_the_public_optimizer_and_probability_at(self, monkeypatch):
-        # the benchmark's attack.optimize span wraps these module globals
-        g = connected_sample("er", 80, 11)
-        ec = find_2ec(g, next(v for v in range(g.n) if find_2ec(g, v)))[0]
-        expected = evaluate_attack(g, ec, 5)
-        calls = []
+    @pytest.mark.parametrize("graph,kind,kept", [
+        # the attacked scan reads past t_base, so p(t_base) is one it kept
+        (Graph(5, [(0, 1), (1, 2), (1, 3), (2, 4)]), ECKind.EC3_PATH, True),
+        # the attacked scan stops at t = 0, before t_base = 1, so the walk steps on
+        (complete(4), ECKind.EC3_TRIANGLE, False),
+    ], ids=["kept", "stepped-on"])
+    def test_walks_the_attacked_set_once(self, monkeypatch, graph, kind, kept):
+        # the benchmark's attack.optimize and szegedy.build spans wrap these module globals;
+        # szegedy's own WalkOperator is the one probability_trace, and so probability_at, builds
+        ec = next(ec for ec in find_3ec(graph, 0) if ec.kind is kind)
+        expected = evaluate_attack(graph, ec, 2)
+        calls, reads = [], []
 
         def counted(fn):
             def wrapper(*args, **kwargs):
@@ -170,10 +174,23 @@ class TestEvaluateAttack:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("optimize_measurement_time", "probability_at"):
-            monkeypatch.setattr(attack, name, counted(getattr(attack, name)))
-        assert evaluate_attack(g, ec, 5) == expected
-        assert sorted(calls) == ["optimize_measurement_time"] * 2 + ["probability_at"]
+        def counted_scan(probs, t_pen, scan=attack._scan):
+            def read():
+                for p in probs:
+                    reads[-1] += 1
+                    yield p
+            reads.append(0)
+            return scan(read(), t_pen)
+
+        for module, name in ((attack, "optimize_measurement_time"), (attack, "WalkOperator"),
+                             (szegedy, "WalkOperator")):
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
+        monkeypatch.setattr(attack, "_scan", counted_scan)
+        report = evaluate_attack(graph, ec, 2)
+        assert report == expected
+        assert sorted(calls) == ["WalkOperator"] * 2 + ["optimize_measurement_time"]
+        assert len(reads) == 2 and (reads[1] > report.t_base) is kept
+        assert report.p_attacked == probability_at(graph, ec.vertices, report.t_base)
 
     @pytest.mark.parametrize("t_pen", [0, -1])
     def test_penalty_below_one_rejected(self, t_pen):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import logging
 import math
 import os
@@ -392,7 +393,7 @@ class TestWorkerClamp:
     @pytest.fixture
     def pool(self, monkeypatch):
         FakePool.sizes = []
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
         return FakePool
 
