@@ -1,20 +1,21 @@
 """Szegedy search walk on the arcs of a graph.
 
-Under the uniform chain P(w, v) = 1/deg(v) only the arcs (v, w), w ~ v, of the
-ordered-pair space carry amplitude, so the real walk state lives on the graph's
-2|E| CSR arcs. PairSpace is both that arc space and the chain: arc (v, w) carries
-the weight P(w, v). One search step applies the two reflections of the quantized
-chain, each composed with a phase oracle that negates marked arcs:
+Under the uniform chain P(w, v) = 1/deg(v) only the arcs (v, w), w ~ v, of
+the ordered-pair space carry amplitude, so the real walk state lives on the
+graph's 2|E| CSR arcs. PairSpace is both that arc space and the chain: arc
+(v, w) carries the weight P(w, v). One search step applies the two
+reflections of the quantized chain, each composed with a phase oracle that
+negates marked arcs:
 
     step = R2 Q2 R1 Q1
 
-where R1 = 2 sum_v |v, phi_v><v, phi_v| - I with phi_v(w) = sqrt(P(w, v)) built
-from the UNMODIFIED chain P, R2 = Swap R1 Swap, Q1 negates the arcs leaving a
-marked vertex, and Q2 = Swap Q1 Swap. On the arcs leaving one vertex this is the
-Grover diffusion coin at unmarked vertices and its negation at marked ones, the
-walk for which marked subgraphs with the degree-sum property admit stationary
-states that suppress the search. With an empty marked set the step reduces to
-the plain quantized walk R2 R1.
+where R1 = 2 sum_v |v, phi_v><v, phi_v| - I with phi_v(w) = sqrt(P(w, v))
+built from the UNMODIFIED chain P, R2 = Swap R1 Swap, Q1 negates the arcs
+leaving a marked vertex, and Q2 = Swap Q1 Swap. On the arcs leaving one
+vertex this is the Grover diffusion coin at unmarked vertices and its
+negation at marked ones, the walk for which marked subgraphs with the
+degree-sum property admit stationary states that suppress the search. With
+an empty marked set the step reduces to the plain quantized walk R2 R1.
 """
 
 import math
@@ -81,8 +82,9 @@ def uniform_stochastic(graph: Graph) -> PairSpace:
 class WalkState:
     """Real amplitude vector over a PairSpace.
 
-    A state that WalkOperator.apply returns carries the norm its drift check computed, and
-    its amplitudes are read-only so that norm cannot go stale. Others compute it on demand.
+    A state that WalkOperator.apply returns carries the norm its drift check
+    computed, and its amplitudes are read-only so that norm cannot go stale.
+    Any other state computes its norm on demand.
     """
 
     __slots__ = ("space", "_amps", "_norm")
@@ -133,20 +135,26 @@ def _probability(amps: np.ndarray, marked_arcs: np.ndarray) -> float:
 class WalkOperator:
     """One search-walk step: chain reflections composed with marked-phase oracles.
 
-    Holds the chain P, which is also the arc space, and the marked set S. reflect_first and
-    reflect_second expose the bare reflections R1 and R2 = Swap R1 Swap (each an involution);
-    apply performs the search step R2 Q2 R1 Q1, and probabilities walks it on raw arrays.
+    Holds the chain P, which is also the arc space, and the marked set S.
+    reflect_first and reflect_second expose the bare reflections R1 and
+    R2 = Swap R1 Swap (each an involution); apply performs the search step
+    R2 Q2 R1 Q1, and probabilities walks it on raw arrays.
 
-    R2 Q2 = Swap R1 Q1 Swap is applied without permuting the state: R2 reflects the arcs
-    entering each vertex w about sqrt(1/deg w), and Q2 negates the arcs entering a marked
-    vertex. The arcs are sorted by (first, second), so each block sum adds the same terms in
-    the same order as the permuted form (see _reflect). Q1 is -I or I on each block R1
-    reflects, and rounding is symmetric under negation, so R1 Q1 = Q1 R1 bit for bit (up to
-    the sign of an exact zero), and Q2 Q1 is one flip of the arcs with exactly one marked
-    end. Its scratch vector makes an operator unsafe to step from two threads at once.
+    R2 Q2 = Swap R1 Q1 Swap is applied without permuting the state: R2 reflects
+    the arcs entering each vertex w about sqrt(1/deg w), and Q2 negates the arcs
+    entering a marked vertex. The arcs are sorted by (first, second), so each of
+    those block sums adds the same terms in the same order as the permuted form.
+    Both scale a block's overlap by the one factor 2 sqrt(1/deg) of its vertex,
+    exactly (see _reflect). Q1 is -I or I on each block R1 reflects, and
+    rounding is symmetric under negation, so R1 Q1 = Q1 R1 bit for bit (up to
+    the sign of an exact zero), and Q2 Q1 is one sign flip of the arcs with
+    exactly one marked end. An operator steps through a scratch vector of its
+    own, so it must not step states from two threads at once.
     """
 
-    def __init__(self, chain: PairSpace, marked: Iterable[int] = (), space: Optional[PairSpace] = None):
+    def __init__(
+        self, chain: PairSpace, marked: Iterable[int] = (), space: Optional[PairSpace] = None
+    ):
         if space is not None and space != chain:
             raise ValueError(f"{space} is not the arc space of the chain on {chain.n} vertices")
         self.marked = frozenset(int(v) for v in marked)
@@ -197,7 +205,9 @@ class WalkOperator:
         out = self._reflect(r1, leaving=False)
         norm_out = math.sqrt(out.dot(out))  # what np.linalg.norm computes for a real vector
         if abs(norm_out - norm_in) > NORM_DRIFT_LIMIT * max(1.0, norm_in):
-            raise NumericalStabilityError(f"walk step changed the state norm from {norm_in} to {norm_out}")
+            raise NumericalStabilityError(
+                f"walk step changed the state norm from {norm_in} to {norm_out}"
+            )
         return out, norm_out
 
     def apply(self, state: WalkState) -> WalkState:
@@ -208,8 +218,9 @@ class WalkOperator:
     def probabilities(self, state: WalkState) -> Iterator[float]:
         """Success probabilities p(0), p(1), ... of the marked set, walking from state.
 
-        Steps run lazily: taking p(t) applies the t-th step, so a caller that stops
-        after p(t) has walked exactly t steps. Each step runs the drift check of apply.
+        Steps run lazily: taking p(t) applies the t-th step, so a caller
+        that stops after p(t) has walked exactly t steps. Each step runs the
+        drift check of apply, on raw arrays.
         """
         self._check_space(state)
         amps, norm = state.amps, state.norm()
@@ -221,7 +232,8 @@ class WalkOperator:
 def initial_state(chain: PairSpace) -> WalkState:
     """Uniform superposition of column profiles: amp(v, w) = sqrt(P(w, v)) / sqrt(n).
 
-    The first-vertex marginal is exactly uniform, so any marked set S starts at p = |S|/n.
+    The first-vertex marginal is exactly uniform, so any marked set S
+    starts at success probability |S|/n.
     """
     return WalkState(chain, np.sqrt(chain.weights) / math.sqrt(chain.n))
 
@@ -235,9 +247,9 @@ def success_probability(state: WalkState, marked: Iterable[int]) -> float:
 
 
 def probability_trace(graph: Graph, marked: Iterable[int], t_max: int) -> np.ndarray:
-    """Success probabilities p(0..t_max) of the search walk for the marked set S.
+    """Success probabilities p(0..t_max) of the search walk for the marked set.
 
-    The walk starts from initial_state, so p(0) = |S|/n.
+    The walk starts from the uniform column superposition, so p(0) = |S|/n.
     """
     if t_max < 0:
         raise ValueError(f"t_max must be nonnegative, got {t_max}")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from _oracles import brute_force_optimum, complete, cycle
-from qwattack import attack, szegedy
+from qwattack import attack, experiments, szegedy
 from qwattack.attack import (
     AttackReport,
     default_t_pen,
@@ -191,6 +191,20 @@ class TestEvaluateAttack:
         assert sorted(calls) == ["WalkOperator"] * 2 + ["optimize_measurement_time"]
         assert len(reads) == 2 and (reads[1] > report.t_base) is kept
         assert report.p_attacked == probability_at(graph, ec.vertices, report.t_base)
+
+    @pytest.mark.parametrize("model,n,root_seed", [("er", 150, 3), ("ws", 60, 11), ("ba", 400, 3)])
+    def test_steps_walked_follow_from_the_row(self, monkeypatch, model, n, root_seed):
+        # a fig2 row walks its base scan, and its attacked scan stepped on to t_base when
+        # the scan stopped before it; each scan stops at max(t_opt + 1, ceil(T_opt - t_pen))
+        steps, step = [], szegedy.WalkOperator._step
+        monkeypatch.setattr(szegedy.WalkOperator, "_step", lambda op, *a: steps.append(1) or step(op, *a))
+        config = experiments.ExperimentConfig(
+            "fig2", models=(model,), n_grid=(n,), samples_per_n=1, root_seed=root_seed
+        )
+        (r,) = experiments.run_fig2(config)
+        base = max(r.t_base, math.ceil(r.T_base - r.t_pen) - 1)
+        attacked = max(r.t_opt, math.ceil(r.T_opt - r.t_pen) - 1)
+        assert len(steps) == base + max(attacked, r.t_base)
 
     @pytest.mark.parametrize("t_pen", [0, -1])
     def test_penalty_below_one_rejected(self, t_pen):

@@ -234,6 +234,7 @@ class TestBitwiseStep:
             leaving = np.isin(space.first, marked)
             entering = np.isin(space.second, marked)
             state = initial_state(space)
+            literal_probs = [success_probability(state, marked)]
             for _ in range(200):
                 amps = state.amps
                 r1 = literal_reflection(amps, space.first, profile, n)
@@ -244,24 +245,9 @@ class TestBitwiseStep:
                 step = literal_reflection(np.where(entering, -step, step), space.second, swapped_profile, n)
                 state = op.apply(state)
                 assert np.array_equal(state.amps, step)
-
-    @pytest.mark.parametrize("model", ["er", "ws", "ba"])
-    def test_probabilities_walk_the_apply_step(self, model):
-        # the optimizer's raw-array stream and the WalkState step are one step routine
-        n = 200
-        g = next(
-            c for a in range(50)
-            if is_connected(c := generate_graph(ModelParams(model=model), n, seed=derive_seed(17, n, a)))
-        )
-        ec = next(ecs[0] for w in range(n) if (ecs := find_2ec(g, w)))
-        space = uniform_stochastic(g)
-        for marked in ([ec.anchor], list(ec.vertices)):
-            op = WalkOperator(space, marked)
-            state, applied = initial_state(space), []
-            for _ in range(301):
-                applied.append(success_probability(state, marked))
-                state = op.apply(state)
-            assert list(islice(op.probabilities(initial_state(space)), 301)) == applied
+                literal_probs.append(success_probability(WalkState(space, step), marked))
+            # the optimizer's raw-array stream walks the same literal steps
+            assert list(islice(op.probabilities(initial_state(space)), 201)) == literal_probs
 
 
 PAW = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
