@@ -14,11 +14,9 @@ from contextlib import contextmanager
 from dataclasses import astuple
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .attack import default_t_pen, evaluate_attack
 from .exceptional import find_ec_within_distance
-from .graphs import MODELS, ModelParams, generate_graph, read_edge_list, write_edge_list
+from .graphs import MODELS, ModelParams, _pcg64_replay, generate_graph, read_edge_list, write_edge_list
 from .experiments import (
     CSV_COLUMNS,
     PANELS,
@@ -233,8 +231,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         raise ValueError(
             f"no exceptional configuration of orders {sorted(args.orders)} containing vertex {anchor}"
         )
-    rng = np.random.default_rng(seed)
-    ec = configs[int(rng.integers(len(configs)))]
+    ec = configs[_pcg64_replay(seed)[1](len(configs))]
     report = evaluate_attack(graph, ec, t_pen, model="file", seed=seed)
     with _output(args) as fh:
         write_csv(fh, CSV_COLUMNS, [astuple(report)])

@@ -18,7 +18,7 @@ import numpy as np
 
 from .attack import AttackReport, default_t_pen, evaluate_attack
 from .exceptional import checked_orders, find_2ec, find_ec_within_distance, within_one_hop
-from .graphs import MODELS, ModelParams, derive_seed, generate_graph, is_connected
+from .graphs import MODELS, ModelParams, _pcg64_replay, derive_seed, generate_graph, is_connected
 
 logger = logging.getLogger(__name__)
 
@@ -165,11 +165,11 @@ def _pick_2ec(graph, attempt_seed: int):
     """(2EC, failed anchor draws): up to n uniform anchors, then a uniform 2EC at
     the first anchor that has one; (None, n) when none does."""
     n = graph.n
-    rng = np.random.default_rng(derive_seed(attempt_seed, 1))
+    _, integers = _pcg64_replay(derive_seed(attempt_seed, 1))
     for retries in range(n):
-        candidates = find_2ec(graph, int(rng.integers(n)))
+        candidates = find_2ec(graph, integers(n))
         if candidates:
-            return candidates[int(rng.integers(len(candidates)))], retries
+            return candidates[integers(len(candidates))], retries
     return None, n
 
 
@@ -203,7 +203,7 @@ def _formation_counts(params: ModelParams, n: int, specs, samples: int, *seed_pa
     for i in range(samples):
         attempt, attempt_seed, graph = next(_connected_draws(params, n, *seed_parts, i))
         regens += attempt
-        v = int(np.random.default_rng(derive_seed(attempt_seed, 1)).integers(n))
+        v = _pcg64_replay(derive_seed(attempt_seed, 1))[1](n)
         for k, hit in enumerate(_spec_hits(graph, v, queries)):
             hits[k] += hit
     return hits, regens

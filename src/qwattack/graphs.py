@@ -181,15 +181,15 @@ def _check_ba(n: int, m0: int) -> None:
 def gen_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """G(n, p): each of the n(n-1)/2 edges present independently with probability p.
 
-    One double per pair in row order (0, 1), ..., (0, n-1), (1, 2), ..., drawn
-    in blocks of 2**16, which take the same numbers from the stream as one
-    draw per row would."""
+    One raw PCG64 word per pair in row order (0, 1), ..., (0, n-1), (1, 2), ...,
+    read in blocks of 2**16 and compared with _word_threshold(p): the edges
+    numpy 2.4.6's Generator.random() < p would give, one double per pair."""
     _check_er(n, p)
-    rng = np.random.default_rng(seed)
+    bits, threshold = np.random.PCG64(seed), _word_threshold(p)
     rows = np.arange(n - 1)
     row_start = rows * (n - 1) - rows * (rows - 1) // 2  # flat index of pair (u, u+1)
     total, block = n * (n - 1) // 2, 1 << 16
-    flat = np.concatenate([np.flatnonzero(rng.random(min(block, total - lo)) < p) + lo
+    flat = np.concatenate([np.flatnonzero(bits.random_raw(min(block, total - lo)) < threshold) + lo
                            for lo in range(0, total, block)])
     u = np.searchsorted(row_start, flat, side="right") - 1
     return Graph(n, np.column_stack((u, flat - row_start[u] + u + 1)))
@@ -199,14 +199,14 @@ _RAW_CHUNK = 1024  # words per random_raw call: bounded, so a draw's memory does
 
 
 def _pcg64_words(seed: int) -> Iterator[int]:
-    """np.random.default_rng(seed)'s PCG64 random_raw words, one at a time, as Python ints."""
-    bits = np.random.default_rng(seed).bit_generator
+    """np.random.PCG64(seed)'s random_raw words, one at a time, as Python ints."""
+    bits = np.random.PCG64(seed)
     return chain.from_iterable(iter(lambda: bits.random_raw(_RAW_CHUNK).tolist(), None))
 
 
 def _pcg64_replay(seed: int):
-    """(words, integers): np.random.default_rng(seed)'s PCG64 random_raw words, and
-    its integers(m) replayed in plain Python from the same words.
+    """(words, integers): np.random.PCG64(seed)'s random_raw words, and
+    np.random.default_rng(seed).integers(m) replayed in plain Python from them.
 
     The two share one iterator, so a word taken from `words` is gone for
     `integers` too, as a Generator.random() call would take it. Each call

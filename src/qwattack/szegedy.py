@@ -80,14 +80,9 @@ def uniform_stochastic(graph: Graph) -> PairSpace:
 
 
 class WalkState:
-    """Real amplitude vector over a PairSpace.
+    """Real amplitude vector over a PairSpace."""
 
-    A state that WalkOperator.apply returns carries the norm its drift check
-    computed, and its amplitudes are read-only so that norm cannot go stale.
-    Any other state computes its norm on demand.
-    """
-
-    __slots__ = ("space", "_amps", "_norm")
+    __slots__ = ("space", "_amps")
 
     def __init__(self, space: PairSpace, amps: np.ndarray):
         amps = np.asarray(amps, dtype=np.float64)
@@ -95,22 +90,13 @@ class WalkState:
             raise ValueError(f"amplitude vector has shape {amps.shape}, expected ({space.size},)")
         self.space = space
         self._amps = amps
-        self._norm: Optional[float] = None
-
-    @classmethod
-    def _stepped(cls, space: PairSpace, amps: np.ndarray, norm: float) -> "WalkState":
-        """A step's output: its amplitudes, frozen, with their known norm."""
-        amps.flags.writeable = False
-        state = cls.__new__(cls)
-        state.space, state._amps, state._norm = space, amps, norm
-        return state
 
     @property
     def amps(self) -> np.ndarray:
         return self._amps
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self._amps)) if self._norm is None else self._norm
+        return float(np.linalg.norm(self._amps))
 
     def __repr__(self) -> str:
         return f"WalkState(n={self.space.n}, size={self.space.size}, norm={self.norm():.6f})"
@@ -213,7 +199,7 @@ class WalkOperator:
     def apply(self, state: WalkState) -> WalkState:
         """One full search step R2 Q2 R1 Q1; raises on norm drift beyond 1e-8."""
         self._check_space(state)
-        return WalkState._stepped(self.space, *self._step(state.amps, state.norm()))
+        return WalkState(self.space, self._step(state.amps, state.norm())[0])
 
     def probabilities(self, state: WalkState) -> Iterator[float]:
         """Success probabilities p(0), p(1), ... of the marked set, walking from state.

@@ -178,6 +178,17 @@ def reference_rows(n: int, edges) -> list[list[int]]:
     return [sorted(r) for r in rows]
 
 
+def er_reference(n: int, p: float, seed: int) -> Graph:
+    """G(n, p) through Generator.random(), one call per row of pairs (u, u+1), ..., (u, n-1).
+
+    The generator's row-by-row form, kept as the oracle for its stream: same
+    parameters and seed, so the edge list must match gen_erdos_renyi's.
+    """
+    rng = np.random.default_rng(seed)
+    rows = [np.flatnonzero(rng.random(n - 1 - u) < p) + u + 1 for u in range(n - 1)]
+    return Graph(n, [(u, int(v)) for u, row in enumerate(rows) for v in row])
+
+
 def ws_reference(n: int, k: int, beta: float, seed: int) -> Graph:
     """Watts-Strogatz rewiring with Python sets, walking sorted(closed[u]) for each pick.
 

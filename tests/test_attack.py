@@ -112,6 +112,10 @@ class TestOptimizer:
         with pytest.raises(ValueError):
             optimize_measurement_time(cycle(4), [0], t_pen=-1)
 
+    def test_ties_resolve_to_the_smallest_t(self):
+        # T(0) = (0 + 1) / 0.25 and T(1) = (1 + 1) / 0.5 are both 4; T(2) = 30, and t = 3 stops
+        assert attack._scan(iter([0.25, 0.5, 0.1]), t_pen=1) == (0, 4.0, 0.25)
+
 
 class TestEvaluateAttack:
     def test_report_fields_are_consistent(self):
@@ -276,6 +280,7 @@ class TestReportValidation:
     @pytest.mark.parametrize("changes,message", [
         # T_base = (t_base + t_pen) / p_base = 15 / 0.5
         ({"T_base": 999.0}, r"T_base is 999.0, but the other fields give 30.0"),
+        ({"T_base": 30.00000003}, r"T_base is 30.00000003, but the other fields give 30.0"),
         ({"T_attacked": 151.0}, r"T_attacked is 151.0, but the other fields give 150.0"),
         ({"T_attacked": math.inf}, r"T_attacked is inf, but the other fields give 150.0"),
         ({"strong_eff": 0.4}, r"strong_eff is 0.4, but the other fields give 0.5"),
@@ -289,7 +294,7 @@ class TestReportValidation:
         ({"added": (1, 2)}, r"2ec_path needs 2 vertices, got \(0, 1, 2\)"),
         ({"kind": "3ec_path"}, r"3ec_path needs 3 vertices, got \(0, 1\)"),
         ({"added": (2, 1), "kind": "3ec_triangle"}, r"added \(2, 1\) must be ascending"),
-    ], ids=["T_base", "T_attacked", "T_attacked-inf", "strong_eff", "seed", "graph_regens",
+    ], ids=["T_base", "T_base-1e-9", "T_attacked", "T_attacked-inf", "strong_eff", "seed", "graph_regens",
             "anchor_retries", "anchor-range", "added-range", "kind", "added-is-anchor", "too-many",
             "too-few", "added-order"])
     def test_contradicting_fields_rejected(self, changes, message):

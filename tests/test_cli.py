@@ -2,12 +2,14 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from _oracles import cycle, star
 from qwattack import cli, experiments
 from qwattack.cli import build_parser, cli_main
-from qwattack.graphs import read_edge_list, write_edge_list
+from qwattack.exceptional import find_ec_within_distance
+from qwattack.graphs import ModelParams, generate_graph, read_edge_list, write_edge_list
 
 REPO_DIR = Path(__file__).resolve().parent.parent
 
@@ -139,6 +141,25 @@ class TestAttack:
         assert fields[0] == "file"
         assert fields[1] == "8"
         assert fields[3] == "2"
+
+    def test_picks_the_configuration_default_rng_picks(self, tmp_path, capsys):
+        # anchor 3 of this BA graph has 39 configurations of orders 2 and 3
+        graph = generate_graph(ModelParams(model="ba"), 40, seed=2)
+        path = tmp_path / "ba.edges"
+        write_edge_list(graph, path)
+        configs = find_ec_within_distance(graph, 3, None, (2, 3))
+        picks = set()
+        for seed in (0, 1, 2, 3, 4, 5, 2**64 - 1):
+            want = configs[int(np.random.default_rng(seed).integers(len(configs)))]
+            code, out, _ = run_cli(
+                ["attack", "--in", str(path), "--marked", "3", "--orders", "2,3", "--seed", str(seed)],
+                capsys,
+            )
+            assert code == 0
+            fields = out.splitlines()[1].split(",")
+            assert (fields[4], fields[5]) == (";".join(map(str, want.added)), want.kind.value), seed
+            picks.add(want)
+        assert len(picks) >= 4
 
     def test_zero_penalty_is_rejected_by_name(self, tmp_path, capsys):
         path = tmp_path / "c8.edges"

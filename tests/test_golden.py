@@ -14,6 +14,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
+from qwattack.cli import cli_main
 from qwattack.exceptional import find_2ec
 from qwattack.experiments import (
     ExperimentConfig,
@@ -133,6 +136,22 @@ def test_fig3_csv_matches_golden(tmp_path):
     out = tmp_path / "fig3.csv"
     write_fig3_csv(run_fig3(run_fig2(FIG3_CONFIG), FIG3_CONFIG.models), out)
     assert out.read_bytes() == (GOLDEN_DIR / "fig3.csv").read_bytes()
+
+
+def test_no_draw_builds_a_numpy_generator(tmp_path, monkeypatch):
+    """Every draw reads raw PCG64 words: the fig1 and fig2 goldens, and an attack's
+    configuration pick, come out with np.random.default_rng and Generator refused."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a draw built a numpy Generator")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.random, "Generator", refuse)
+    test_fig2_csv_matches_golden(tmp_path)
+    test_fig1_csv_matches_golden(tmp_path)
+    write_edge_list(generate_graph(ModelParams(model="ba"), 40, seed=2), tmp_path / "ba.edges")
+    argv = ["attack", "--in", str(tmp_path / "ba.edges"), "--marked", "3", "--orders", "2,3",
+            "--seed", "1", "--out", str(tmp_path / "attack.csv")]
+    assert cli_main(argv) == 0
 
 
 def test_trace_digests_match_golden():

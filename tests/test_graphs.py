@@ -12,6 +12,7 @@ from _oracles import (
     connected_by_bfs,
     connected_by_union_find,
     cycle,
+    er_reference,
     path,
     reference_rows,
     star,
@@ -96,6 +97,12 @@ class TestErdosRenyi:
 
     def test_probability_zero_gives_empty_graph(self):
         assert gen_erdos_renyi(10, 0.0, seed=3).num_edges == 0
+
+    @pytest.mark.parametrize("n", [2, 5, 60, 400])  # 400 has 79,800 pairs: two blocks of words
+    def test_matches_generator_random(self, n):
+        for p in (0.0, default_er_p(n), 0.5, 1.0):
+            for seed in (0, derive_seed(n), 2**64 - 1):
+                assert gen_erdos_renyi(n, p, seed) == er_reference(n, p, seed), (n, p, seed)
 
     def test_default_probability_rule(self):
         # 2*ln(100)/100
