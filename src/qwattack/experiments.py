@@ -326,21 +326,33 @@ FIG3_COLUMNS = ("model", "variant", *(f.name for f in fields(RegressionResult)))
 
 
 def fit_loglog(ns: Sequence[float], ts: Sequence[float]) -> RegressionResult:
-    """Fit ln T = alpha * ln n + intercept; rse is the residual standard error."""
-    ns = np.asarray(ns, dtype=np.float64)
-    ts = np.asarray(ts, dtype=np.float64)
-    if ns.size != ts.size:
+    """Fit ln T = alpha * ln n + intercept; rse is the residual standard error.
+
+    The closed-form least-squares line, every sum an exact math.fsum: no LAPACK
+    call, whose kernel OpenBLAS picks for the CPU, reaches the fit.
+    """
+    ns = [float(v) for v in ns]
+    ts = [float(v) for v in ts]
+    if len(ns) != len(ts):
         raise ValueError("n and T sequences differ in length")
-    if ns.size < 3:
-        raise ValueError(f"regression needs at least 3 points, got {ns.size}")
-    if np.any(ns <= 0) or np.any(ts <= 0) or not (np.all(np.isfinite(ns)) and np.all(np.isfinite(ts))):
+    if len(ns) < 3:
+        raise ValueError(f"regression needs at least 3 points, got {len(ns)}")
+    if not all(math.isfinite(v) and v > 0 for v in ns + ts):
         raise ValueError("regression inputs must be finite and positive")
-    x = np.log(ns)
-    y = np.log(ts)
-    alpha, intercept = np.polyfit(x, y, 1)
-    resid = y - (alpha * x + intercept)
-    rse = math.sqrt(float(resid @ resid) / (x.size - 2))
-    return RegressionResult(float(alpha), float(intercept), rse, int(x.size))
+    x = [math.log(v) for v in ns]
+    y = [math.log(v) for v in ts]
+    if len(set(x)) < 2:  # every x alike: Sxx = 0 and no line is defined
+        orders = ", ".join(f"{v:g}" for v in sorted(set(ns)))
+        raise ValueError(f"regression needs at least 2 distinct orders n, got only n = {orders}")
+    k = len(x)
+    mx = math.fsum(x) / k
+    my = math.fsum(y) / k
+    dx = [xi - mx for xi in x]
+    alpha = math.fsum(d * (yi - my) for d, yi in zip(dx, y)) / math.fsum(d * d for d in dx)
+    intercept = my - alpha * mx
+    resid = [yi - (alpha * xi + intercept) for xi, yi in zip(x, y)]
+    rse = math.sqrt(math.fsum(r * r for r in resid) / (k - 2))
+    return RegressionResult(alpha, intercept, rse, k)
 
 
 def _per_n_geometric_means(pairs: Iterable[tuple[int, float]], label: str) -> tuple[list[int], list[float]]:

@@ -113,9 +113,12 @@ def _marked_arcs(ends: np.ndarray, n: int, marked: Iterable[int]) -> np.ndarray:
 
 
 def _probability(amps: np.ndarray, marked_arcs: np.ndarray) -> float:
-    """Squared norm on the marked arcs, clamped to 1.0 against float dust."""
+    """Squared norm on the marked arcs, clamped to 1.0 against float dust.
+
+    A pairwise add.reduce, not a BLAS dot, whose kernel OpenBLAS picks for the CPU.
+    """
     sel = amps[marked_arcs]
-    return min(float(np.dot(sel, sel)), 1.0)
+    return min(float(np.add.reduce(sel * sel)), 1.0)
 
 
 class WalkOperator:

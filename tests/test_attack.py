@@ -116,6 +116,10 @@ class TestOptimizer:
         # T(0) = (0 + 1) / 0.25 and T(1) = (1 + 1) / 0.5 are both 4; T(2) = 30, and t = 3 stops
         assert attack._scan(iter([0.25, 0.5, 0.1]), t_pen=1) == (0, 4.0, 0.25)
 
+    def test_stops_once_t_plus_penalty_reaches_the_best_runtime(self):
+        # T(0) = (0 + 1) / 0.5 = 2, and at t = 1 no runtime can beat 1 + 1 = 2, so p(1) is never read
+        assert attack._scan(iter([0.5]), t_pen=1) == (0, 2.0, 0.5)
+
 
 class TestEvaluateAttack:
     def test_report_fields_are_consistent(self):

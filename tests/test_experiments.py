@@ -24,7 +24,7 @@ from qwattack.experiments import (
     write_fig2_csv,
     write_fig3_csv,
 )
-from qwattack.graphs import ModelParams, generate_graph
+from qwattack.graphs import Graph, ModelParams, _pcg64_replay, derive_seed, generate_graph
 
 
 def make_report(model, n, t_base, T_base, T_attacked, seed=0):
@@ -123,6 +123,11 @@ class TestRegression:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             fit_loglog([10, 20, 30], [1.0, -2.0, 3.0])
+
+    def test_one_distinct_order_rejected(self):
+        # Sxx = 0: no line through three points at one n
+        with pytest.raises(ValueError, match="at least 2 distinct orders n, got only n = 10$"):
+            fit_loglog([10, 10, 10], [1.0, 2.0, 3.0])
 
     def test_regress_reports_recovers_synthetic_exponents(self):
         reports = []
@@ -255,6 +260,20 @@ class TestFormationScan:
             ec_formation_probability(ModelParams("er"), 40, orders=orders, d=d, samples=3)
         with pytest.raises(ValueError, match=message):  # a bad spec after a good one
             experiments._formation_counts(ModelParams("er"), 40, [((2,), None), (orders, d)], 3, 0)
+
+
+class TestPick2ec:
+    def test_tries_up_to_n_anchors(self):
+        # a double star: the adjacent centres 0 and 1 (degree 4) are the only 2EC anchors
+        graph = Graph(8, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7)])
+        seed = 3  # its first anchor in {0, 1} is draw 6, past n // 2
+        integers = _pcg64_replay(derive_seed(seed, 1))[1]
+        anchors = [integers(graph.n) for _ in range(graph.n)]
+        first_hit = next(k for k, v in enumerate(anchors) if v < 2)
+        assert first_hit >= graph.n // 2
+        ec, retries = experiments._pick_2ec(graph, seed)
+        assert retries == first_hit
+        assert ec.anchor == anchors[first_hit] and ec.vertices == (0, 1)
 
 
 class TestFig2:

@@ -1,7 +1,8 @@
 """Byte-for-byte golden outputs: small fig1/fig2/fig3 CSVs, walk-trace and edge-list digests.
 
-The goldens under tests/golden/ pin what the engine computes, bit for bit.
-A refactor or speed-up that keeps the arithmetic must leave them unchanged.
+The goldens under tests/golden/ pin what the engine computes, bit for bit,
+on any CPU: they are also rewritten with OpenBLAS and numpy forced onto other
+kernels. A refactor or speed-up that keeps the arithmetic must leave them unchanged.
 A change that deliberately moves the numerics regenerates them in the same
 change, with the reason recorded in CHANGES.md:
 
@@ -10,11 +11,15 @@ change, with the reason recorded in CHANGES.md:
 
 import hashlib
 import json
+import os
+import platform
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from qwattack.cli import cli_main
 from qwattack.exceptional import find_2ec
@@ -37,6 +42,7 @@ from qwattack.graphs import (
 from qwattack.szegedy import probability_trace
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 FIG2_CONFIG = ExperimentConfig(
     "fig2", models=("er", "ws", "ba"), n_grid=(60, 120), samples_per_n=2, root_seed=0
 )
@@ -166,6 +172,37 @@ def test_edge_list_digests_match_golden():
         golden = json.load(fh)
     assert len(golden) == 3 * len(EDGE_LIST_SIZES) * len(EDGE_LIST_SEEDS) + len(EDGE_LIST_SIZES) + 6
     assert edge_list_digests() == golden
+
+
+def _blas_name() -> str:
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # a numpy without mode="dicts", or no BLAS entry
+        return "unknown"
+
+
+def test_goldens_do_not_follow_the_cpu_kernels(tmp_path):
+    """The goldens come out byte for byte with OpenBLAS and numpy forced onto other kernels
+    than the ones they pick for this CPU: no output goes through BLAS or LAPACK."""
+    if sys.platform != "linux" or platform.machine() != "x86_64":
+        pytest.skip(f"forcing kernels needs x86-64 Linux, not {sys.platform} on {platform.machine()}")
+    if "openblas" not in _blas_name().lower():
+        pytest.skip(f"OPENBLAS_CORETYPE needs numpy built on OpenBLAS, not {_blas_name()}")
+    # (OPENBLAS_CORETYPE, NPY_DISABLE_CPU_FEATURES): the oldest x86-64 kernels OpenBLAS and
+    # numpy carry, then Haswell's AVX2 + FMA kernels where the CPU has both
+    cases = [("Prescott", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR")]
+    if {"avx2", "fma"} <= set(Path("/proc/cpuinfo").read_text().split()):
+        cases.append(("Haswell", ""))
+    pythonpath = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+    for coretype, disabled in cases:
+        out = tmp_path / coretype
+        env = dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_CORETYPE=coretype,
+                   NPY_DISABLE_CPU_FEATURES=disabled)
+        subprocess.run([sys.executable, __file__, str(out)], env=env, check=True, timeout=300)
+        written = sorted(p.name for p in out.iterdir())
+        assert written == sorted(p.name for p in GOLDEN_DIR.iterdir())
+        differ = [name for name in written if (out / name).read_bytes() != (GOLDEN_DIR / name).read_bytes()]
+        assert differ == [], f"OPENBLAS_CORETYPE={coretype}"
 
 
 if __name__ == "__main__":

@@ -334,6 +334,14 @@ class TestUnitarityAndInvolutions:
         with pytest.raises(NumericalStabilityError):
             op.apply(s)
 
+    def test_norm_guard_catches_a_drift_of_a_millionth(self):
+        # a profile 1e-6 too long moves the norm by about 2e-6: far above the 1e-8 limit
+        chain = uniform_stochastic(cycle(6))
+        op = WalkOperator(chain, [0])
+        op._profile = op._profile * (1 + 1e-6)
+        with pytest.raises(NumericalStabilityError, match="changed the state norm"):
+            op.apply(initial_state(chain))
+
     def test_user_state_norm_is_computed_on_demand(self):
         space = PairSpace.from_graph(cycle(5))
         s = WalkState(space, np.zeros(space.size))
