@@ -7,7 +7,7 @@ parameters and seed; identical inputs yield identical graphs.
 import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -69,7 +69,10 @@ class Graph:
     orientation) and that every endpoint lies in [0, n), reporting the
     first bad edge in input order. The check reads the one sort that builds
     the rows: with every endpoint in range, a self-loop or a repeat in
-    either orientation puts some arc u*n + v in the sorted arcs twice.
+    either orientation puts some arc key u*n + v in the sorted keys twice.
+    The keys are int32 while n*n < 2**31 and int64 beyond; degrees count the
+    endpoints, and a row's neighbors are its keys minus u*n, so no division
+    runs.
     """
 
     __slots__ = ("_n", "indptr", "indices", "_degrees", "_starts")
@@ -81,13 +84,14 @@ class Graph:
         # an object array holds an endpoint beyond int64, so it is out of range
         if pairs.dtype == object or (pairs.size and (pairs.min() < 0 or pairs.max() >= n)):
             raise ValueError(_first_bad_edge(n, pairs)[1])
-        u, v = pairs.T
+        u, v = pairs.T.astype(np.int32) if n * n < 1 << 31 else pairs.T  # every key u * n + v < n * n
         arcs = np.sort(np.concatenate((u * n + v, v * n + u)))
         if np.any(arcs[1:] == arcs[:-1]):
             raise ValueError(_first_bad_edge(n, pairs)[1])
-        self._degrees = np.bincount(arcs // n, minlength=n)
+        self._degrees = np.bincount(pairs.ravel(), minlength=n)
         self.indptr = np.concatenate(([0], np.cumsum(self._degrees)))
-        self.indices = arcs % n
+        row_keys = np.repeat(np.arange(0, n * n, n, dtype=arcs.dtype), self._degrees)
+        self.indices = (arcs - row_keys).astype(np.int64, copy=False)
         for a in (self._degrees, self.indptr, self.indices):
             a.flags.writeable = False
         self._starts = self.indptr.tolist()  # list indexing is cheaper than indptr's
@@ -196,12 +200,14 @@ def gen_erdos_renyi(n: int, p: float, seed: int) -> Graph:
 
 
 _RAW_CHUNK = 1024  # words per random_raw call: bounded, so a draw's memory does not grow with n
+_FIRST_CHUNKS = (16, 64, 256)  # read before the first _RAW_CHUNK: one draw converts 16 words
 
 
 def _pcg64_words(seed: int) -> Iterator[int]:
     """np.random.PCG64(seed)'s random_raw words, one at a time, as Python ints."""
     bits = np.random.PCG64(seed)
-    return chain.from_iterable(iter(lambda: bits.random_raw(_RAW_CHUNK).tolist(), None))
+    sizes = chain(_FIRST_CHUNKS, repeat(_RAW_CHUNK))
+    return chain.from_iterable(bits.random_raw(size).tolist() for size in sizes)
 
 
 def _pcg64_replay(seed: int):
@@ -268,31 +274,34 @@ def gen_watts_strogatz(n: int, k: int, beta: float, seed: int) -> Graph:
     words, integers = _pcg64_replay(seed)
     threshold = _word_threshold(beta)
     half = k // 2
-    # sorted closed neighborhoods, cut from a doubled ring: row u is what u may not pick
+    # sorted closed neighborhoods, cut from a doubled ring: row u is what u may not pick,
+    # and only the k rows that wrap around the ring's ends need a sort
     ring = list(range(n - half, n)) + list(range(n)) + list(range(half))
-    closed = [sorted(ring[u : u + k + 1]) for u in range(n)]
-    # far end of the lattice edge (u, u + off), at [(off - 1) * n + u]; rewiring moves it
-    far = [(u + off) % n for off in range(1, half + 1) for u in range(n)]
-    for slot, word in zip(range(half * n), words):
-        if word >= threshold:
-            continue  # kept
-        u = slot % n
-        row = closed[u]
-        if len(row) >= n:
-            continue  # neighborhood full: nothing to rewire to
-        # the w-th vertex outside row: row[i] - i non-members lie below row[i], a count
-        # that never decreases in i, so it is w + i for the first i with row[i] - i > w
-        w = integers(n - len(row))
-        i = bisect_right(row, w)
-        while i < len(row) and row[i] <= w + i:
-            i += 1
-        w += i
-        v, far[slot] = far[slot], w
-        row.remove(v)  # u trades v for w
-        insort(row, w)
-        closed[v].remove(u)
-        insort(closed[w], u)
-    return Graph(n, np.column_stack((np.tile(np.arange(n), half), far)))
+    closed = [ring[u : u + k + 1] for u in range(n)]
+    for u in chain(range(half), range(n - half, n)):
+        closed[u].sort()
+    # far[off - 1][u] is the far end of the lattice edge (u, u + off); rewiring moves it
+    far = [ring[half + off : half + off + n] for off in range(1, half + 1)]
+    for ends in far:
+        for u, word in zip(range(n), words):
+            if word >= threshold:
+                continue  # kept
+            row = closed[u]
+            if len(row) >= n:
+                continue  # neighborhood full: nothing to rewire to
+            # the w-th vertex outside row: row[i] - i non-members lie below row[i], a count
+            # that never decreases in i, so it is w + i for the first i with row[i] - i > w
+            w = integers(n - len(row))
+            i = bisect_right(row, w)
+            while i < len(row) and row[i] <= w + i:
+                i += 1
+            w += i
+            v, ends[u] = ends[u], w
+            row.remove(v)  # u trades v for w
+            insort(row, w)
+            closed[v].remove(u)
+            insort(closed[w], u)
+    return Graph(n, np.column_stack((np.tile(np.arange(n), half), np.ravel(far))))
 
 
 _UNIT = 1 << 53  # a double draw is k / 2**53, k the top 53 bits of a word
@@ -416,25 +425,29 @@ def is_connected(graph: Graph) -> bool:
     """True iff the graph has a single connected component (level-by-level BFS).
 
     The next frontier is a level's unseen neighbors, ascending and without
-    repeats. A level with fewer than n/16 candidates sorts them and drops
-    repeats (np.sort, not np.unique, whose first call maps about 1 MB more);
-    a larger one marks them in an n-length bool mask, whose O(n) a level the
-    random models' few wide levels repay, while a path's thousands of
-    one-vertex levels would not."""
+    repeats. A frontier of fewer than n/64 vertices is narrow: its neighbor
+    rows are concatenated, sorted and deduped (np.sort, not np.unique, whose
+    first call maps about 1 MB more). A wider one marks its vertices in an
+    n-length bool mask, repeats that mask by degree into an arc mask, and
+    marks the arcs' heads: O(|E| + n) a level, at most 64 times, since the
+    frontiers are disjoint. A path's thousands of one-vertex levels stay narrow.
+    """
     n = graph.n
+    degrees, indices = graph.degrees, graph.indices
     seen = np.zeros(n, dtype=bool)
     seen[0] = True
     frontier = np.zeros(1, dtype=np.int64)
     while frontier.size:
-        cand = graph.concat_neighbors(frontier)
-        if cand.size < n >> 4:
+        if frontier.size << 6 < n:
+            cand = graph.concat_neighbors(frontier)
             frontier = np.sort(cand[~seen[cand]])
             first = np.ones(frontier.size, dtype=bool)
             first[1:] = frontier[1:] != frontier[:-1]
             frontier = frontier[first]
         else:
             level = np.zeros(n, dtype=bool)
-            level[cand] = True
+            level[frontier] = True
+            level[indices[level.repeat(degrees)]] = True
             level &= ~seen
             frontier = np.flatnonzero(level)
         seen[frontier] = True

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from _oracles import (
 )
 from qwattack import graphs
 from qwattack.graphs import (
+    _FIRST_CHUNKS,
     _RAW_CHUNK,
     _UNIT,
     EdgeListParseError,
@@ -212,7 +214,13 @@ class TestPcg64Replay:
     @settings(max_examples=30, deadline=None)
     def test_interleaved_draws(self, seed, order_seed, p_double):
         words = replay_matches_numpy(seed, random.Random(order_seed), 6 * _RAW_CHUNK, p_double)
-        assert words > 2 * _RAW_CHUNK  # the replay refilled its chunk at least twice
+        assert words > sum(_FIRST_CHUNKS) + 2 * _RAW_CHUNK  # past the first chunks and two _RAW_CHUNK reads
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_words_are_random_raw_across_chunk_boundaries(self, seed):
+        assert sum(_FIRST_CHUNKS) + 2 * _RAW_CHUNK < 3_000  # every chunk size is read, and refilled
+        got = list(islice(graphs._pcg64_words(seed), 3_000))
+        assert got == np.random.PCG64(seed).random_raw(3_000).tolist()
 
     @pytest.mark.parametrize("p", [0.0, 2.0**-53, 0.1, 0.5, 1 - 2.0**-53, 1.0])
     def test_word_threshold_is_random_below_p(self, p):
@@ -350,9 +358,9 @@ class TestConnectivity:
         assert is_connected(g) == connected_by_union_find(g)
 
     def test_many_levels_match_bfs(self):
-        # levels of one or two vertices (a path, a beta = 0 ring lattice, two rings joined
-        # far from vertex 0) are deduped by sorting; a broom's last level, 99 leaves of
-        # n = 200, is at least n/16 wide and takes the mask
+        # frontiers of one or two vertices (a path, a beta = 0 ring lattice, two rings joined
+        # far from vertex 0) are narrower than n/64 and deduped by sorting; a broom's last
+        # frontier, 99 leaves of n = 200, is at least n/64 wide and takes the arc mask
         ring = list(gen_watts_strogatz(2000, 4, 0.0, seed=0).edges())
         rings = [(i, (i + 1) % 600) for i in range(600)] + [(i, 600 + (i + 1) % 600) for i in range(600, 1200)]
         broom = list(path(101).edges()) + [(100, leaf) for leaf in range(101, 200)]
@@ -361,12 +369,46 @@ class TestConnectivity:
         for n, edges in cases:
             assert is_connected(Graph(n, edges)) == connected_by_bfs(reference_rows(n, edges)), n
 
+    @pytest.mark.parametrize("n, sizes", [
+        (128, [1, 1, 2, 40, 84]),  # 2 is exactly n/64, so wide, and finds 40 new vertices
+        (192, [1, 2, 3, 60, 126]),  # 2 is just below n/64, so narrow; 3 is exactly at it
+        (192, [1, 2, 3, 60, 100]),  # the same levels, 26 vertices unreached
+        (1000, [1, 15, 16, 400, 568]),  # n/64 = 15.625 lies between 15 and 16
+    ])
+    def test_narrow_and_wide_frontiers_match_bfs(self, monkeypatch, n, sizes):
+        edges = levelled(n, sizes, random.Random(n))
+        narrow = []  # the sizes of the frontiers whose rows the narrow branch concatenated
+        concat = Graph.concat_neighbors
+        monkeypatch.setattr(Graph, "concat_neighbors", lambda g, vs: narrow.append(vs.size) or concat(g, vs))
+        expected = connected_by_bfs(reference_rows(n, edges))
+        assert is_connected(Graph(n, edges)) == expected == (sum(sizes) == n)
+        assert narrow == [size for size in sizes if size * 64 < n]
+
     @pytest.mark.slow
     def test_er_above_threshold_is_usually_connected(self):
         # p = 2 ln(n)/n sits above the ln(n)/n connectivity threshold
         n = 500
         ok = sum(is_connected(gen_erdos_renyi(n, default_er_p(n), seed=s)) for s in range(100))
         assert ok / 100 >= 0.99
+
+
+def levelled(n, sizes, rng):
+    """Edges, shuffled and in random orientation, whose BFS levels from vertex 0 have the
+    given sizes; the vertices past them form a path of their own. Each vertex joins a
+    random vertex of the level before, every other one a second, and every third one a
+    vertex of its own level, so a level's neighbors repeat and include seen vertices."""
+    edges, prev, start = set(), [], 0
+    for size in sizes:
+        level = list(range(start, start + size))
+        for i, w in enumerate(level):
+            ends = {rng.choice(prev) for _ in range(1 + i % 2)} if prev else set()
+            ends |= {level[i - 1]} if i % 3 == 2 else set()
+            edges |= {(u, w) for u in ends}
+        prev, start = level, start + size
+    edges |= {(v, v + 1) for v in range(start, n - 1)}
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in sorted(edges)]
+    rng.shuffle(edges)
+    return edges
 
 
 @st.composite
@@ -450,6 +492,31 @@ class TestCsrAgainstReference:
         with pytest.raises(EdgeListParseError) as got:
             read_edge_list(path)
         assert str(got.value) == f"line {k + 2}: {expected.value}"
+
+    @pytest.mark.parametrize("n", [46_340, 46_341])  # the largest order with int32 arc keys, and the next
+    def test_both_key_widths(self, n):
+        rng = random.Random(n)
+        order = list(range(n))
+        rng.shuffle(order)
+        # a shuffled path, random chords, and the edge with the largest arc key, n*n - 2
+        pairs = set(zip(order, order[1:])) | {(n - 1, n - 2)}
+        pairs |= {(rng.randrange(n), rng.randrange(n)) for _ in range(n)}
+        unique = {(min(e), max(e)) for e in pairs if e[0] != e[1]}
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in sorted(unique)]
+        rng.shuffle(edges)
+        g = Graph(n, edges)
+        rows = reference_rows(n, edges)
+        assert [g.neighbors(v).tolist() for v in range(n)] == rows
+        assert g.degrees.tolist() == [len(r) for r in rows]
+        for a in (g.indptr, g.indices, g.degrees):  # int32 would be converted in every walk step
+            assert a.dtype == np.int64 and not a.flags.writeable
+        u, v = edges[rng.randrange(len(edges))]
+        edges.insert(rng.randrange(len(edges) + 1), (v, u))
+        with pytest.raises(ValueError) as expected:
+            reference_rows(n, edges)
+        with pytest.raises(ValueError, match="duplicate edge") as got:
+            Graph(n, edges)
+        assert str(got.value) == str(expected.value)
 
     def test_single_vertex(self):
         g = Graph(1)
