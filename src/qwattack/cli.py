@@ -5,14 +5,24 @@ Flags may also be supplied through a plain key=value config file via
 --config: each line becomes a --key=value flag ahead of the command line's
 own, so config values pass the same checks and explicit flags win. Exit
 codes: 0 success, 1 runtime failure (diagnostics on stderr), 2 usage error.
+
+Importing this module caps BLAS at one thread, as the worker pool does, unless
+the environment already sets the variable: the walk's only BLAS calls are its
+norm checks, which extra threads only slow down.
 """
 
 import argparse
+import os
 import secrets
 import sys
 from contextlib import contextmanager
 from dataclasses import astuple
 from typing import Optional, Sequence
+
+from . import BLAS_THREAD_VARS
+
+for _name in BLAS_THREAD_VARS:  # before the first import of numpy, which reads them once
+    os.environ.setdefault(_name, "1")
 
 from .attack import default_t_pen, evaluate_attack
 from .exceptional import find_ec_within_distance

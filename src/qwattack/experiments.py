@@ -16,6 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import BLAS_THREAD_VARS
 from .attack import AttackReport, default_t_pen, evaluate_attack
 from .exceptional import checked_orders, find_2ec, find_ec_within_distance, within_one_hop
 from .graphs import MODELS, ModelParams, _pcg64_replay, derive_seed, generate_graph, is_connected
@@ -109,10 +110,6 @@ class Fig1Row:
 FIG1_COLUMNS = tuple(f.name for f in fields(Fig1Row))
 
 
-# the thread caps a freshly imported numpy reads from the environment
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
 def _run_pool(worker, tasks, workers: int):
     """Map tasks preserving order, inline or over a process pool.
 
@@ -133,8 +130,8 @@ def _run_pool(worker, tasks, workers: int):
     import multiprocessing  # here, not at the top: imports and single-worker runs skip the pool modules
     from concurrent.futures import ProcessPoolExecutor
 
-    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     try:
         with ProcessPoolExecutor(max_workers=limit, mp_context=multiprocessing.get_context("spawn")) as pool:
             return list(pool.map(worker, tasks, chunksize=1))

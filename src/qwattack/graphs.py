@@ -14,6 +14,9 @@ import numpy as np
 
 MODELS = ("er", "ws", "ba")
 
+# the largest order whose arc keys u*n + v (< n*n) fit in int64
+MAX_ORDER = math.isqrt(2**63 - 1)  # 3,037,000,499
+
 
 class EdgeListParseError(ValueError):
     """Raised when an edge-list file violates the format contract."""
@@ -80,6 +83,8 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
             raise ValueError(f"vertex count must be positive, got {n}")
+        if n > MAX_ORDER:
+            raise ValueError(f"vertex count {n} is above the maximum order {MAX_ORDER}")
         pairs = _edge_pairs(edges)
         # an object array holds an endpoint beyond int64, so it is out of range
         if pairs.dtype == object or (pairs.size and (pairs.min() < 0 or pairs.max() >= n)):
@@ -147,6 +152,8 @@ class Graph:
 def _check_order(n: int) -> None:
     if n < 2:
         raise ValueError(f"need at least 2 vertices, got {n}")
+    if n > MAX_ORDER:
+        raise ValueError(f"need at most {MAX_ORDER} vertices, got {n}")
 
 
 def default_er_p(n: int) -> float:
@@ -491,6 +498,8 @@ def read_edge_list(path) -> Graph:
         raise EdgeListParseError(f"line 1: vertex count {header[1]!r} is not an integer") from None
     if n < 1:
         raise EdgeListParseError(f"line 1: vertex count must be positive, got {n}")
+    if n > MAX_ORDER:
+        raise EdgeListParseError(f"line 1: vertex count {n} is above the maximum order {MAX_ORDER}")
     edges, linenos, malformed = [], [], None
     for lineno, line in enumerate(lines[1:], start=2):
         tokens = line.split()

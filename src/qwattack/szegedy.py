@@ -137,8 +137,7 @@ class WalkOperator:
     exactly (see _reflect). Q1 is -I or I on each block R1 reflects, and
     rounding is symmetric under negation, so R1 Q1 = Q1 R1 bit for bit (up to
     the sign of an exact zero), and Q2 Q1 is one sign flip of the arcs with
-    exactly one marked end. An operator steps through a scratch vector of its
-    own, so it must not step states from two threads at once.
+    exactly one marked end.
     """
 
     def __init__(
@@ -156,7 +155,6 @@ class WalkOperator:
         self._swapped_profile = vertex_profile[space.second]
         entering = _marked_arcs(space.second, space.n, self.marked)
         self._flipped_arcs = np.setxor1d(self._marked_arcs, entering, assume_unique=True)
-        self._weighted = np.empty(space.size)
 
     def _check_space(self, state: WalkState) -> None:
         if state.space is not self.space and state.space != self.space:
@@ -170,8 +168,7 @@ class WalkOperator:
         """
         blocks = self.space.first if leaving else self.space.second
         profile = self._profile if leaving else self._swapped_profile
-        np.multiply(profile, amps, out=self._weighted)
-        overlap = np.bincount(blocks, weights=self._weighted, minlength=self.space.n)
+        overlap = np.bincount(blocks, weights=profile * amps, minlength=self.space.n)
         overlap *= self._twice_vertex_profile
         out = overlap.repeat(self._degrees) if leaving else overlap[blocks]
         out -= amps

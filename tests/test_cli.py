@@ -1,5 +1,8 @@
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -501,3 +504,26 @@ class TestFigureCommands:
         assert code == 1
         assert "not both" in err
 
+
+class TestBlasThreads:
+    VARIABLES = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+
+    @pytest.mark.parametrize("given,expected", [({}, ["1", "1", "1"]), ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"])])
+    def test_import_caps_blas_threads_unless_set(self, given, expected):
+        """The CLI process runs every single-worker sweep, search and attack itself, so it
+        pins BLAS to one thread as pool workers do, but keeps a value the user set."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {name: value for name, value in os.environ.items() if name not in self.VARIABLES}
+        env.update(given, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        # the values numpy finds when it is first imported, which are the ones it reads
+        probe = f"""
+import os, sys
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print(*(os.environ.get(var) for var in {self.VARIABLES}))
+sys.meta_path.insert(0, Watch())
+import qwattack.cli
+"""
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60)
+        assert out.stdout.split() == expected

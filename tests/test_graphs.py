@@ -529,6 +529,36 @@ class TestCsrAgainstReference:
             Graph(4, [(0, 1, 2)])
 
 
+class TestOrderCeiling:
+    """Arc keys u*n + v are int64, so no order above isqrt(2**63 - 1) is accepted.
+
+    Each check must run before anything of size n is allocated: the edge parser is
+    replaced by one that fails, so a missing check fails here instead of allocating.
+    """
+
+    @pytest.fixture(autouse=True)
+    def no_edges_parsed(self, monkeypatch):
+        def refuse(edges):
+            raise AssertionError("edges parsed above the order ceiling")
+
+        monkeypatch.setattr(graphs, "_edge_pairs", refuse)
+
+    def test_check_order(self):
+        graphs._check_order(3_037_000_499)
+        with pytest.raises(ValueError, match="need at most 3037000499 vertices, got 3037000500"):
+            graphs._check_order(3_037_000_500)
+
+    def test_graph(self):
+        with pytest.raises(ValueError, match="above the maximum order 3037000499"):
+            Graph(3_037_000_500, [(0, 1)])
+
+    def test_edge_list_header(self, tmp_path):
+        path = tmp_path / "huge.edges"
+        path.write_text("n 10000000000\n0 1\n")
+        with pytest.raises(EdgeListParseError, match="line 1: .*above the maximum order 3037000499"):
+            read_edge_list(path)
+
+
 class TestEdgeListIO:
     def test_round_trip_identity(self, tmp_path):
         g = gen_erdos_renyi(20, 0.3, seed=11)

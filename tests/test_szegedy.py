@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
 
 import numpy as np
@@ -465,6 +468,30 @@ class TestProbabilityTrace:
         t_max = math.ceil(4 * math.sqrt(n) * math.log(n))
         trace = probability_trace(g, [17], t_max)
         assert trace.max() >= 10 / n
+
+    def test_two_threads_step_one_operator(self):
+        """The operator keeps no scratch state: two threads walking through one operator
+        at once each give the single-thread trace, bit for bit."""
+        seed = 0
+        while not is_connected(g := generate_graph(ModelParams("er"), 200, seed)):
+            seed += 1
+        expected = probability_trace(g, [0], 300)
+        start = initial_state(uniform_stochastic(g))
+        operator = WalkOperator(start.space, [0])
+        barrier = threading.Barrier(2)
+
+        def walk(_):
+            barrier.wait()
+            return np.fromiter(islice(operator.probabilities(start), 301), dtype=np.float64, count=301)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the GIL over between (almost) every two numpy calls
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                traces = list(pool.map(walk, range(2)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [trace.tobytes() == expected.tobytes() for trace in traces] == [True, True]
 
     def test_negative_t_max_rejected(self):
         with pytest.raises(ValueError):
