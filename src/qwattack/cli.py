@@ -25,7 +25,7 @@ for _name in BLAS_THREAD_VARS:  # before the first import of numpy, which reads 
     os.environ.setdefault(_name, "1")
 
 from .attack import default_t_pen, evaluate_attack
-from .exceptional import find_ec_within_distance
+from .exceptional import checked_orders, find_ec_within_distance
 from .graphs import MODELS, ModelParams, _pcg64_replay, generate_graph, read_edge_list, write_edge_list
 from .experiments import (
     CSV_COLUMNS,
@@ -84,6 +84,13 @@ def _parse_ints(raw: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected a comma list of integers, got {raw!r}") from None
 
 
+def _parse_orders(raw: str) -> frozenset[int]:
+    try:
+        return checked_orders(_parse_ints(raw), None)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_grid(raw: str) -> tuple[int, ...]:
     try:
         return expand_grid(raw)
@@ -98,6 +105,8 @@ def _parse_seed(raw: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
     if seed < 0:
         raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {seed}")
+    if seed >= 2**64:
+        raise argparse.ArgumentTypeError(f"seed must be below 2**64, got {seed}")
     return seed
 
 
@@ -142,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan-ec", help="list exceptional configurations at a vertex")
     p.add_argument("--in", help="edge-list file")
     p.add_argument("--vertex", type=int)
-    p.add_argument("--orders", type=_parse_ints, default=(2, 3), help="comma list among 2,3 (default 2,3)")
+    p.add_argument("--orders", type=_parse_orders, default=(2, 3), help="comma list among 2,3 (default 2,3)")
     p.add_argument("--distance", type=int, choices=(1, 2), help="hop-distance cap (default none)")
     _add_common(p, seed=False, stdout=True)
 
@@ -155,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="attack one marked vertex with a random EC")
     p.add_argument("--in", help="edge-list file")
     p.add_argument("--marked", type=int, help="the single originally marked vertex")
-    p.add_argument("--orders", type=_parse_ints, default=(2,), help="comma list among 2,3 (default 2)")
+    p.add_argument("--orders", type=_parse_orders, default=(2,), help="comma list among 2,3 (default 2)")
     p.add_argument("--distance", type=int, choices=(1, 2), help="hop-distance cap (default none)")
     p.add_argument("--t-pen", type=int, dest="t_pen", help="penalty steps (default ceil(ln n))")
     _add_common(p, seed=True, stdout=True)

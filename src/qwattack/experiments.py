@@ -80,6 +80,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown models {sorted(unknown)}")
         if self.workers < 1:
             raise ValueError("workers must be positive")
+        if not 0 <= self.root_seed < 2**64:
+            raise ValueError(f"root_seed must be in [0, 2**64), got {self.root_seed}")
         for model in self.models:  # every cell's draw parameters, before the first draw
             params = self.model_params(model)
             for n in self.n_grid:

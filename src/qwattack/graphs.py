@@ -176,6 +176,7 @@ def _check_er(n: int, p: float) -> None:
 
 
 def _check_ws(n: int, k: int, beta: float) -> None:
+    _check_order(n)
     if k % 2 != 0:
         raise ValueError(f"initial degree must be even, got {k}")
     if not 2 <= k < n:
@@ -185,6 +186,7 @@ def _check_ws(n: int, k: int, beta: float) -> None:
 
 
 def _check_ba(n: int, m0: int) -> None:
+    _check_order(n)
     if not 1 <= m0 < n:
         raise ValueError(f"attachment count must satisfy 1 <= m0 < n, got m0={m0}, n={n}")
 

@@ -96,20 +96,10 @@ class WalkState:
         return self._amps
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self._amps))
+        return math.sqrt(self._amps.dot(self._amps))
 
     def __repr__(self) -> str:
         return f"WalkState(n={self.space.n}, size={self.space.size}, norm={self.norm():.6f})"
-
-
-def _marked_arcs(ends: np.ndarray, n: int, marked: Iterable[int]) -> np.ndarray:
-    """Positions of the arcs whose `ends` vertex is marked, ascending."""
-    marked = [int(v) for v in marked]
-    if not all(0 <= v < n for v in marked):
-        raise ValueError(f"marked set {sorted(set(marked))} out of range for n={n}")
-    flags = np.zeros(n, dtype=bool)
-    flags[marked] = True
-    return np.flatnonzero(flags[ends])
 
 
 def _probability(amps: np.ndarray, marked_arcs: np.ndarray) -> float:
@@ -124,7 +114,7 @@ def _probability(amps: np.ndarray, marked_arcs: np.ndarray) -> float:
 class WalkOperator:
     """One search-walk step: chain reflections composed with marked-phase oracles.
 
-    Holds the chain P, which is also the arc space, and the marked set S.
+    Holds the chain P, which is also the arc space, and the arcs of the marked set S.
     reflect_first and reflect_second expose the bare reflections R1 and
     R2 = Swap R1 Swap (each an involution); apply performs the search step
     R2 Q2 R1 Q1, and probabilities walks it on raw arrays.
@@ -145,16 +135,20 @@ class WalkOperator:
     ):
         if space is not None and space != chain:
             raise ValueError(f"{space} is not the arc space of the chain on {chain.n} vertices")
-        self.marked = frozenset(int(v) for v in marked)
         self.space = space = chain if space is None else space
+        marked = [int(v) for v in marked]
+        if not all(0 <= v < space.n for v in marked):
+            raise ValueError(f"marked set {sorted(set(marked))} out of range for n={space.n}")
+        mask = np.zeros(space.n, dtype=bool)
+        mask[marked] = True
+        leaving = mask[space.first]
+        self._marked_arcs = np.flatnonzero(leaving)
+        self._flipped_arcs = np.flatnonzero(leaving != mask[space.second])
         self._degrees = np.diff(space.indptr)
         vertex_profile = np.sqrt(1.0 / self._degrees)
         self._twice_vertex_profile = 2.0 * vertex_profile
-        self._profile = np.sqrt(space.weights)
-        self._marked_arcs = _marked_arcs(space.first, space.n, self.marked)
+        self._profile = vertex_profile.repeat(self._degrees)
         self._swapped_profile = vertex_profile[space.second]
-        entering = _marked_arcs(space.second, space.n, self.marked)
-        self._flipped_arcs = np.setxor1d(self._marked_arcs, entering, assume_unique=True)
 
     def _check_space(self, state: WalkState) -> None:
         if state.space is not self.space and state.space != self.space:
@@ -189,7 +183,7 @@ class WalkOperator:
         r1 = self._reflect(amps, leaving=True)
         r1[self._flipped_arcs] *= -1.0  # Q2 Q1, with Q1 moved past R1 (see the class docstring)
         out = self._reflect(r1, leaving=False)
-        norm_out = math.sqrt(out.dot(out))  # what np.linalg.norm computes for a real vector
+        norm_out = math.sqrt(out.dot(out))
         if abs(norm_out - norm_in) > NORM_DRIFT_LIMIT * max(1.0, norm_in):
             raise NumericalStabilityError(
                 f"walk step changed the state norm from {norm_in} to {norm_out}"
@@ -229,7 +223,7 @@ def success_probability(state: WalkState, marked: Iterable[int]) -> float:
 
     Clamped to 1.0: a unit state's marked mass can overshoot by float dust.
     """
-    return _probability(state.amps, _marked_arcs(state.space.first, state.space.n, marked))
+    return _probability(state.amps, WalkOperator(state.space, marked)._marked_arcs)
 
 
 def probability_trace(graph: Graph, marked: Iterable[int], t_max: int) -> np.ndarray:

@@ -120,6 +120,12 @@ class TestOptimizer:
         # T(0) = (0 + 1) / 0.5 = 2, and at t = 1 no runtime can beat 1 + 1 = 2, so p(1) is never read
         assert attack._scan(iter([0.5]), t_pen=1) == (0, 2.0, 0.5)
 
+    def test_step_budget_stops_the_scan(self, monkeypatch):
+        # p = 1e-6 throughout: T(0) = 1e6, so only the budget can stop the scan before t = 1e6 - 1
+        monkeypatch.setattr(attack, "_MAX_OPT_STEPS", 3)
+        with pytest.raises(RuntimeError, match="step budget"):
+            attack._scan(iter([1e-6] * 10), t_pen=1)
+
 
 class TestEvaluateAttack:
     def test_report_fields_are_consistent(self):

@@ -176,6 +176,15 @@ class TestAttack:
         assert "t_pen must be at least 1" in err
 
 
+# one invocation of each command that takes --seed, short of the seed and --out
+SEEDED_COMMANDS = [
+    ["generate", "--model", "ba", "--n", "50"],
+    ["attack", "--in", "g.edges", "--marked", "0"],
+    ["fig1", "--n", "20", "--samples", "1"],
+    ["fig2", "--n", "20", "--samples", "1"],
+]
+
+
 class TestUsage:
     def test_no_command_is_usage_error(self, capsys):
         assert run_cli([], capsys)[0] == 2
@@ -201,12 +210,7 @@ class TestUsage:
             assert f"qwattack {command}: error: unrecognized arguments: --seed 1" in err
             assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["generate", "--model", "ba", "--n", "50"],
-        ["attack", "--in", "g.edges", "--marked", "0"],
-        ["fig1", "--n", "20", "--samples", "1"],
-        ["fig2", "--n", "20", "--samples", "1"],
-    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", SEEDED_COMMANDS, ids=lambda argv: argv[0])
     def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, argv):
         # as a flag and as a config key, before any file is read or graph drawn
         out = tmp_path / "x.out"
@@ -216,6 +220,18 @@ class TestUsage:
             code, _, err = run_cli([*argv, *given, "--out", str(out)], capsys)
             assert code == 2
             assert "argument --seed: seed must be a non-negative integer, got -1" in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("argv", SEEDED_COMMANDS, ids=lambda argv: argv[0])
+    def test_seed_beyond_64_bits_is_a_usage_error(self, tmp_path, capsys, argv):
+        # derive_seed masks to 64 bits, so 2**64 would draw seed 0's rows under another seed
+        out = tmp_path / "x.out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed={2**64}\n")
+        for given in (["--seed", str(2**64)], ["--config", str(cfg)]):
+            code, _, err = run_cli([*argv, *given, "--out", str(out)], capsys)
+            assert code == 2
+            assert f"argument --seed: seed must be below 2**64, got {2**64}" in err
             assert not out.exists()
 
     @pytest.mark.parametrize("command, wording", [
@@ -287,11 +303,15 @@ class TestConfigFile:
              "argument --model: no models given; expected among ('er', 'ws', 'ba')"),
             (["scan-ec", "--in", "g.edges", "--vertex", "3"], "orders", "2,x",
              "argument --orders: expected a comma list of integers, got '2,x'"),
+            (["scan-ec", "--in", "g.edges", "--vertex", "3"], "orders", "4",
+             "argument --orders: orders must be a nonempty subset of {2, 3}, got [4]"),
+            (["attack", "--in", "g.edges", "--marked", "0"], "orders", "2,5",
+             "argument --orders: orders must be a nonempty subset of {2, 3}, got [2, 5]"),
             (["fig1"], "n-grid", "a:b:c",
              "argument --n-grid: grid spec must be start:stop:step of integers, got 'a:b:c'"),
         ],
         ids=["generate-n", "generate-model", "scan-ec-distance", "fig2-model", "fig1-empty-model", "scan-ec-orders",
-             "fig1-n-grid"],
+             "scan-ec-orders-range", "attack-orders-range", "fig1-n-grid"],
     )
     def test_bad_config_value_is_a_usage_error_like_the_flag(self, tmp_path, capsys, argv, key, value, message):
         out = tmp_path / "x.out"

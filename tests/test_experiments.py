@@ -73,6 +73,11 @@ class TestConfig:
             ExperimentConfig(experiment="fig1", n_grid=(2,))
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="fig1", models=("er", "grid"))
+        # derive_seed masks to 64 bits, so -1 would draw 2**64 - 1's rows and 2**64 seed 0's
+        for root_seed in (-1, 2**64):
+            with pytest.raises(ValueError, match=rf"root_seed must be in \[0, 2\*\*64\), got {root_seed}"):
+                ExperimentConfig(experiment="fig1", root_seed=root_seed)
+        ExperimentConfig(experiment="fig1", root_seed=2**64 - 1)
 
     def test_empty_model_set_rejected(self):
         with pytest.raises(ValueError, match="at least one of"):

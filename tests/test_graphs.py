@@ -558,6 +558,17 @@ class TestOrderCeiling:
         with pytest.raises(EdgeListParseError, match="line 1: .*above the maximum order 3037000499"):
             read_edge_list(path)
 
+    @pytest.mark.parametrize("draw", [
+        lambda n: graphs.gen_barabasi_albert(n, 3, seed=0),
+        lambda n: graphs.gen_watts_strogatz(n, 4, 0.5, seed=0),
+        lambda n: ModelParams("ba").check(n),
+    ], ids=["ba", "ws-k4", "ba-params"])
+    def test_generators_with_explicit_parameters(self, monkeypatch, draw):
+        # no default parameter is derived from n here, so only the model's own check can refuse
+        monkeypatch.setattr(graphs, "MAX_ORDER", 50)
+        with pytest.raises(ValueError, match="need at most 50 vertices, got 51"):
+            draw(51)
+
 
 class TestEdgeListIO:
     def test_round_trip_identity(self, tmp_path):
