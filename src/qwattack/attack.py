@@ -1,10 +1,10 @@
 """Expected runtime, the measurement-time optimizer, attacks, and efficiency measures.
 
-The walk is always the graph's uniform chain, started from
-szegedy.initial_state(szegedy.uniform_stochastic(graph)). An attack is an
-exceptional configuration anchored at the single marked vertex: the base
-search marks the anchor alone, the attacked search marks every vertex of the
-configuration, and neither touches the engine, the graph, the walk, or t.
+Every walk is szegedy.WalkOperator(graph, marked).probabilities(): the
+graph's uniform chain, started from its uniform column superposition. An
+attack is an exceptional configuration anchored at the single marked vertex:
+the base search marks the anchor alone, the attacked search marks every vertex
+of the configuration, and neither touches the engine, the graph, the walk, or t.
 Efficiency compares expected runtimes at the common t; strong efficiency
 lets the defender re-optimize the measurement time on the attacked search.
 """
@@ -19,7 +19,7 @@ import numpy as np
 
 from .exceptional import ECKind, ExceptionalConfiguration
 from .graphs import Graph
-from .szegedy import WalkOperator, initial_state, probability_trace, uniform_stochastic
+from .szegedy import WalkOperator, probability_trace
 
 _MAX_OPT_STEPS = 10_000_000
 
@@ -75,13 +75,7 @@ def optimize_measurement_time(
     """
     if t_pen < 0:
         raise ValueError(f"t_pen must be nonnegative, got {t_pen}")
-    return _scan(_walk(graph, marked), t_pen)
-
-
-def _walk(graph: Graph, marked: Iterable[int]) -> Iterator[float]:
-    """Success probabilities p(0), p(1), ... of the search walk, stepped lazily."""
-    start = initial_state(uniform_stochastic(graph))
-    return WalkOperator(start.space, marked).probabilities(start)
+    return _scan(WalkOperator(graph, marked).probabilities(), t_pen)
 
 
 def _scan(probs: Iterator[float], t_pen: int) -> OptimizeResult:
@@ -193,7 +187,7 @@ def evaluate_attack(
     if t_pen < 1:
         raise ValueError(f"t_pen must be at least 1, got {t_pen}")
     base_opt = optimize_measurement_time(graph, [ec.anchor], t_pen)
-    scanned, kept = tee(_walk(graph, ec.vertices))
+    scanned, kept = tee(WalkOperator(graph, ec.vertices).probabilities())
     att_opt = _scan(scanned, t_pen)
     p_att = next(islice(kept, base_opt.t_opt, None))
     return AttackReport(

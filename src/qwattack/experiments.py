@@ -112,20 +112,27 @@ class Fig1Row:
 FIG1_COLUMNS = tuple(f.name for f in fields(Fig1Row))
 
 
+def _usable_cpus() -> Optional[int]:
+    """CPUs this process may run on: its affinity set where the OS has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
 def _run_pool(worker, tasks, workers: int):
     """Map tasks preserving order, inline or over a process pool.
 
     The pool starts every worker at once, so the request is clamped to
-    min(workers, tasks, CPUs), with a warning when that lowers it. Workers
+    min(workers, tasks, usable CPUs), with a warning when that lowers it. Workers
     are spawned, not forked, with one BLAS thread each: a forked worker keeps
     the thread count the parent's numpy read at import, and the workers' BLAS
     threads then compete for the same cores.
     """
-    limit = max(1, min(workers, len(tasks), os.cpu_count() or 1))
+    cpus = _usable_cpus()
+    limit = max(1, min(workers, len(tasks), cpus or 1))
     if limit < workers:
         logger.warning(
-            "using %d of %d requested workers (%d tasks, %s CPUs)",
-            limit, workers, len(tasks), os.cpu_count(),
+            "using %d of %d requested workers (%d tasks, %s usable CPUs)", limit, workers, len(tasks), cpus
         )
     if limit == 1:
         return [worker(t) for t in tasks]

@@ -401,22 +401,22 @@ def brute_force_ecs(graph: Graph, v: int) -> set:
 # ------------------------------------------------- stationary-state witness
 
 
-def index_of(space, first, second) -> np.ndarray:
-    """Positions of the arcs (first, second) in `space`; raises KeyError if any is absent."""
+def index_of(graph: Graph, first, second) -> np.ndarray:
+    """Positions of the arcs (first, second) in `graph`'s CSR arcs; raises KeyError if any is absent."""
     pos = np.empty(np.broadcast(first, second).shape, dtype=np.int64)
     for i, (v, w) in enumerate(np.broadcast(first, second)):
-        lo, hi = (space.indptr[v], space.indptr[v + 1]) if 0 <= v < space.n else (0, 0)
-        k = lo + int(space.second[lo:hi].searchsorted(w))
-        if k == hi or space.second[k] != w:
-            raise KeyError(f"arc ({v}, {w}) not in pair space")
+        lo, hi = (graph.indptr[v], graph.indptr[v + 1]) if 0 <= v < graph.n else (0, 0)
+        k = lo + int(graph.indices[lo:hi].searchsorted(w))
+        if k == hi or graph.indices[k] != w:
+            raise KeyError(f"arc ({v}, {w}) not in the graph")
         pos.flat[i] = k
     return pos
 
 
-def stationary_witness(graph: Graph, H, space) -> tuple[np.ndarray, float]:
+def stationary_witness(graph: Graph, H) -> tuple[np.ndarray, float]:
     """Candidate +1 eigenvector of the search step marking H, and its residual.
 
-    On `space`'s arcs, x is 1 on every arc not inside H.
+    On the graph's arcs, x is 1 on every arc not inside H.
     On each edge {a, b} inside H it takes one symmetric value, solved by
     least squares from sum_{v' in H, v' ~ v} x(v, v') = h_v - d_v at every v
     in H (h_v: v's degree inside H, d_v: its degree in the graph). The
@@ -431,9 +431,9 @@ def stationary_witness(graph: Graph, H, space) -> tuple[np.ndarray, float]:
         A[row[a], e] = A[row[b], e] = 1.0
     rhs = A.sum(axis=1) - np.array([graph.degree(v) for v in verts], dtype=np.float64)
     x = np.linalg.lstsq(A, rhs, rcond=None)[0]
-    amps = np.ones(space.size)
+    amps = np.ones(graph.indices.size)
     for e, (a, b) in enumerate(edges):
-        amps[index_of(space, [a, b], [b, a])] = x[e]
+        amps[index_of(graph, [a, b], [b, a])] = x[e]
     return amps, float(np.max(np.abs(A @ x - rhs)))
 
 

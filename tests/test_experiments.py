@@ -418,7 +418,7 @@ class TestWorkerClamp:
     def pool(self, monkeypatch):
         FakePool.sizes = []
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
         return FakePool
 
     @pytest.mark.parametrize(
@@ -441,11 +441,27 @@ class TestWorkerClamp:
         assert pool.sizes == []
 
     def test_single_cpu_runs_inline_with_warning(self, pool, monkeypatch, caplog):
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: None)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: None)
         with caplog.at_level(logging.WARNING, logger="qwattack.experiments"):
             assert experiments._run_pool(abs, [-1, -2], 8) == [1, 2]
         assert pool.sizes == []
         assert "using 1 of 8 requested workers" in caplog.text
+
+    def test_affinity_below_the_cpu_count_clamps(self, monkeypatch, caplog):
+        # pinned to one of four CPUs (taskset -c 0): two workers would share that CPU, so
+        # the tasks run inline
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(experiments.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert experiments._usable_cpus() == 1
+        with caplog.at_level(logging.WARNING, logger="qwattack.experiments"):
+            assert experiments._run_pool(abs, [-1, -2], 2) == [1, 2]
+        assert "using 1 of 2 requested workers (2 tasks, 1 usable CPUs)" in caplog.text
+
+    def test_usable_cpus_fall_back_to_the_cpu_count(self, monkeypatch):
+        # where the OS has no affinity call (macOS, Windows) the machine's count is all there is
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+        monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+        assert experiments._usable_cpus() == 3
 
 
 class TestPoolBlasThreads:
@@ -454,7 +470,7 @@ class TestPoolBlasThreads:
     def test_pool_workers_see_one_blas_thread(self, monkeypatch):
         for name in self.VARIABLES:
             monkeypatch.delenv(name, raising=False)
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
         assert experiments._run_pool(os.getenv, self.VARIABLES, 2) == ["1"] * 3
         assert [os.environ.get(name) for name in self.VARIABLES] == [None] * 3
 
