@@ -475,7 +475,7 @@ def derive_seed(*parts: int) -> int:
 
 def write_edge_list(graph: Graph, path) -> None:
     """Write the graph as a header line 'n <count>' plus one 'u v' pair per line."""
-    with open(path, "w", encoding="ascii") as fh:
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"n {graph.n}\n")
         for u, v in graph.edges():
             fh.write(f"{u} {v}\n")

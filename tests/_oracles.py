@@ -25,14 +25,6 @@ def dense_uniform_chain(graph: Graph) -> np.ndarray:
     return P
 
 
-def dense_absorb(P: np.ndarray, marked) -> np.ndarray:
-    P = P.copy()
-    for v in marked:
-        P[:, v] = 0.0
-        P[v, v] = 1.0
-    return P
-
-
 def dense_reflection(P: np.ndarray) -> np.ndarray:
     """R1 = 2 sum_v |v, phi_v><v, phi_v| - I with phi_v(w) = sqrt(P[w, v])."""
     n = P.shape[0]

@@ -1,4 +1,5 @@
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,7 +41,7 @@ def corpus():
 
 def pytest_runtest_logreport(report):
     """One visible pass/fail line per acceptance criterion."""
-    if report.when != "call" or "test_acceptance" not in report.nodeid:
+    if report.when != "call" or Path(report.location[0]).name != "test_acceptance.py":
         return
     name = report.nodeid.split("::")[-1]
     status = "PASS" if report.passed else ("FAIL" if report.failed else "SKIP")

@@ -132,21 +132,6 @@ class TestBruteForceEquivalence:
                 }
                 assert got == expected, f"mismatch on {name} at vertex {v}"
 
-    def test_all_graphs_on_four_vertices(self):
-        import itertools
-
-        pairs = list(itertools.combinations(range(4), 2))
-        for mask in range(1 << len(pairs)):
-            edges = [e for i, e in enumerate(pairs) if mask >> i & 1]
-            g = Graph(4, edges)
-            for v in range(4):
-                expected = brute_force_ecs(g, v)
-                got = {
-                    (ec.vertices, ec.kind.value)
-                    for ec in find_2ec(g, v) + find_3ec(g, v)
-                }
-                assert got == expected
-
     @given(seed=st.integers(0, 5_000))
     @settings(max_examples=30, deadline=None)
     def test_every_enumerated_config_is_exceptional(self, seed):

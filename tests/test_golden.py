@@ -1,8 +1,9 @@
 """Byte-for-byte golden outputs: small fig1/fig2/fig3 CSVs, walk-trace and edge-list digests.
 
 The goldens under tests/golden/ pin what the engine computes, bit for bit,
-on any CPU: they are also rewritten with OpenBLAS and numpy forced onto other
-kernels. A refactor or speed-up that keeps the arithmetic must leave them unchanged.
+on any CPU. Two tests rewrite them all and compare every file: one in this
+process with numpy's Generator refused, one with OpenBLAS and numpy forced onto
+other kernels. A refactor or speed-up that keeps the arithmetic must leave them unchanged.
 A change that deliberately moves the numerics regenerates them in the same
 change, with the reason recorded in CHANGES.md:
 
@@ -126,52 +127,26 @@ def write_goldens(directory: Path) -> None:
         fh.write("\n")
 
 
-def test_fig2_csv_matches_golden(tmp_path):
-    out = tmp_path / "fig2.csv"
-    write_fig2_csv(run_fig2(FIG2_CONFIG), out)
-    assert out.read_bytes() == (GOLDEN_DIR / "fig2.csv").read_bytes()
+def differing_goldens(directory: Path) -> list[str]:
+    """Each file of tests/golden/ that the directory lacks, adds, or holds with other bytes."""
+    written, golden = ({p.name: p.read_bytes() for p in d.iterdir()} for d in (directory, GOLDEN_DIR))
+    return sorted(name for name in written.keys() | golden.keys() if written.get(name) != golden.get(name))
 
 
-def test_fig1_csv_matches_golden(tmp_path):
-    out = tmp_path / "fig1.csv"
-    write_fig1_csv(run_fig1(FIG1_CONFIG), out)
-    assert out.read_bytes() == (GOLDEN_DIR / "fig1.csv").read_bytes()
-
-
-def test_fig3_csv_matches_golden(tmp_path):
-    out = tmp_path / "fig3.csv"
-    write_fig3_csv(run_fig3(run_fig2(FIG3_CONFIG), FIG3_CONFIG.models), out)
-    assert out.read_bytes() == (GOLDEN_DIR / "fig3.csv").read_bytes()
-
-
-def test_no_draw_builds_a_numpy_generator(tmp_path, monkeypatch):
-    """Every draw reads raw PCG64 words: the fig1 and fig2 goldens, and an attack's
-    configuration pick, come out with np.random.default_rng and Generator refused."""
+def test_goldens_come_out_with_no_numpy_generator(tmp_path, monkeypatch):
+    """Every draw reads raw PCG64 words: the goldens, and an attack's configuration
+    pick, come out with np.random.default_rng and Generator refused."""
     def refuse(*args, **kwargs):
         raise AssertionError("a draw built a numpy Generator")
 
     monkeypatch.setattr(np.random, "default_rng", refuse)
     monkeypatch.setattr(np.random, "Generator", refuse)
-    test_fig2_csv_matches_golden(tmp_path)
-    test_fig1_csv_matches_golden(tmp_path)
+    write_goldens(tmp_path / "golden")
+    assert differing_goldens(tmp_path / "golden") == []
     write_edge_list(generate_graph(ModelParams(model="ba"), 40, seed=2), tmp_path / "ba.edges")
     argv = ["attack", "--in", str(tmp_path / "ba.edges"), "--marked", "3", "--orders", "2,3",
             "--seed", "1", "--out", str(tmp_path / "attack.csv")]
     assert cli_main(argv) == 0
-
-
-def test_trace_digests_match_golden():
-    with open(GOLDEN_DIR / "traces.json", encoding="ascii") as fh:
-        golden = json.load(fh)
-    assert len(golden) == 2 * 3 * len(TRACE_SIZES)
-    assert trace_digests() == golden
-
-
-def test_edge_list_digests_match_golden():
-    with open(GOLDEN_DIR / "edge_lists.json", encoding="ascii") as fh:
-        golden = json.load(fh)
-    assert len(golden) == 3 * len(EDGE_LIST_SIZES) * len(EDGE_LIST_SEEDS) + len(EDGE_LIST_SIZES) + 6
-    assert edge_list_digests() == golden
 
 
 def _blas_name() -> str:
@@ -199,10 +174,7 @@ def test_goldens_do_not_follow_the_cpu_kernels(tmp_path):
         env = dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_CORETYPE=coretype,
                    NPY_DISABLE_CPU_FEATURES=disabled)
         subprocess.run([sys.executable, __file__, str(out)], env=env, check=True, timeout=300)
-        written = sorted(p.name for p in out.iterdir())
-        assert written == sorted(p.name for p in GOLDEN_DIR.iterdir())
-        differ = [name for name in written if (out / name).read_bytes() != (GOLDEN_DIR / name).read_bytes()]
-        assert differ == [], f"OPENBLAS_CORETYPE={coretype}"
+        assert differing_goldens(out) == [], f"OPENBLAS_CORETYPE={coretype}"
 
 
 if __name__ == "__main__":

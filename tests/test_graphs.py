@@ -577,13 +577,15 @@ class TestEdgeListIO:
         write_edge_list(g, path)
         assert read_edge_list(path) == g
 
-    def test_header_format(self, tmp_path):
-        g = star(4)
+    def test_header_format(self, tmp_path, monkeypatch):
+        # lines end in "\n" on every OS: here open, like Windows', writes "\r\n" unless told otherwise
+        def crlf_open(file, mode="r", *args, newline="\r\n", **kwargs):
+            return open(file, mode, *args, newline=newline, **kwargs)
+
+        monkeypatch.setattr(graphs, "open", crlf_open, raising=False)
         path = tmp_path / "s.edges"
-        write_edge_list(g, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "n 5"
-        assert lines[1:] == ["0 1", "0 2", "0 3", "0 4"]
+        write_edge_list(star(4), path)
+        assert path.read_bytes() == b"n 5\n0 1\n0 2\n0 3\n0 4\n"
 
     def test_self_loop_rejected_with_line_number(self, tmp_path):
         path = tmp_path / "bad.edges"

@@ -25,7 +25,7 @@ from _oracles import (
     star,
     stationary_witness,
 )
-from qwattack.exceptional import find_2ec, find_ec_within_distance
+from qwattack.exceptional import find_2ec, find_3ec, find_ec_within_distance
 from qwattack.graphs import Graph, ModelParams, generate_graph, gen_watts_strogatz
 from qwattack.graphs import derive_seed, is_connected
 from qwattack.szegedy import NumericalStabilityError, WalkOperator, probability_trace
@@ -578,3 +578,16 @@ class TestRelabelInvariance:
         base = probability_trace(g, marked, 2000)
         for graph, marks in ((relabelled, perm[marked]), (union, np.concatenate((marked, perm[marked] + n)))):
             assert np.max(np.abs(probability_trace(graph, marks, 2000) - base) / base) <= 1e-12
+
+    @pytest.mark.parametrize("model", ["er", "ws", "ba"])
+    def test_enumerators_commute_with_relabelling_at_scale(self, model):
+        # the draw and permutation of the walk test above, at n = 800: at every vertex, the
+        # 2ECs and 3ECs of the relabelled graph at the vertex's image are the images of its own
+        n = 800
+        g = TestScaledStationaryWitness.draw(model, n)
+        perm = np.random.default_rng(derive_seed(8, n)).permutation(n).tolist()
+        relabelled = Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+        for find in (find_2ec, find_3ec):
+            for v in range(n):
+                moved = {(tuple(sorted(perm[u] for u in ec.vertices)), ec.kind) for ec in find(g, v)}
+                assert moved == {(ec.vertices, ec.kind) for ec in find(relabelled, perm[v])}, (find.__name__, v)
