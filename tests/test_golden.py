@@ -1,9 +1,9 @@
 """Byte-for-byte golden outputs: small fig1/fig2/fig3 CSVs, walk-trace and edge-list digests.
 
 The goldens under tests/golden/ pin what the engine computes, bit for bit,
-on any CPU. Two tests rewrite them all and compare every file: one in this
-process with numpy's Generator refused, one with OpenBLAS and numpy forced onto
-other kernels. A refactor or speed-up that keeps the arithmetic must leave them unchanged.
+on any CPU. They are rewritten and compared with one helper twice: once in this
+process with numpy's Generator refused (the per-file tests read that one
+comparison), once with OpenBLAS and numpy forced onto other kernels. A refactor or speed-up that keeps the arithmetic must leave them unchanged.
 A change that deliberately moves the numerics regenerates them in the same
 change, with the reason recorded in CHANGES.md:
 
@@ -133,16 +133,53 @@ def differing_goldens(directory: Path) -> list[str]:
     return sorted(name for name in written.keys() | golden.keys() if written.get(name) != golden.get(name))
 
 
-def test_goldens_come_out_with_no_numpy_generator(tmp_path, monkeypatch):
-    """Every draw reads raw PCG64 words: the goldens, and an attack's configuration
-    pick, come out with np.random.default_rng and Generator refused."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("a draw built a numpy Generator")
+def _refuse_generator(*args, **kwargs):
+    raise AssertionError("a draw built a numpy Generator")
 
-    monkeypatch.setattr(np.random, "default_rng", refuse)
-    monkeypatch.setattr(np.random, "Generator", refuse)
-    write_goldens(tmp_path / "golden")
-    assert differing_goldens(tmp_path / "golden") == []
+
+@pytest.fixture(scope="module")
+def differing(tmp_path_factory):
+    """The goldens, written once in this process with np.random.default_rng and
+    Generator refused, then compared: every draw reads raw PCG64 words."""
+    directory = tmp_path_factory.mktemp("golden")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "default_rng", _refuse_generator)
+        mp.setattr(np.random, "Generator", _refuse_generator)
+        write_goldens(directory)
+    return differing_goldens(directory)
+
+
+def test_fig1_csv_matches_golden(differing):
+    assert "fig1.csv" not in differing
+
+
+def test_fig2_csv_matches_golden(differing):
+    assert "fig2.csv" not in differing
+
+
+def test_fig3_csv_matches_golden(differing):
+    assert "fig3.csv" not in differing
+
+
+def test_trace_digests_match_golden(differing):
+    with open(GOLDEN_DIR / "traces.json", encoding="ascii") as fh:
+        assert len(json.load(fh)) == 2 * 3 * len(TRACE_SIZES)
+    assert "traces.json" not in differing
+
+
+def test_edge_list_digests_match_golden(differing):
+    with open(GOLDEN_DIR / "edge_lists.json", encoding="ascii") as fh:
+        golden = json.load(fh)
+    assert len(golden) == 3 * len(EDGE_LIST_SIZES) * len(EDGE_LIST_SEEDS) + len(EDGE_LIST_SIZES) + 6
+    assert "edge_lists.json" not in differing
+
+
+def test_no_draw_builds_a_numpy_generator(differing, tmp_path, monkeypatch):
+    """Every draw reads raw PCG64 words: all the goldens, and an attack's configuration
+    pick, come out with np.random.default_rng and Generator refused."""
+    assert differing == []
+    monkeypatch.setattr(np.random, "default_rng", _refuse_generator)
+    monkeypatch.setattr(np.random, "Generator", _refuse_generator)
     write_edge_list(generate_graph(ModelParams(model="ba"), 40, seed=2), tmp_path / "ba.edges")
     argv = ["attack", "--in", str(tmp_path / "ba.edges"), "--marked", "3", "--orders", "2,3",
             "--seed", "1", "--out", str(tmp_path / "attack.csv")]
