@@ -19,7 +19,7 @@ import numpy as np
 
 from .exceptional import ECKind, ExceptionalConfiguration
 from .graphs import Graph
-from .szegedy import WalkOperator, probability_trace
+from .szegedy import WalkOperator
 
 _MAX_OPT_STEPS = 10_000_000
 
@@ -50,11 +50,6 @@ def efficiency(p_base: float, p_attacked: float) -> float:
     if p_base <= 0:
         raise ValueError(f"base probability must be positive, got {p_base}")
     return 1.0 - p_attacked / p_base
-
-
-def probability_at(graph: Graph, marked: Iterable[int], t: int) -> float:
-    """Success probability after exactly t steps of the search walk."""
-    return float(probability_trace(graph, marked, t)[t])
 
 
 class OptimizeResult(NamedTuple):

@@ -74,6 +74,9 @@ def _parse_models(raw: str) -> tuple[str, ...]:
     unknown = set(models) - set(MODELS)
     if unknown:
         raise argparse.ArgumentTypeError(f"unknown models {sorted(unknown)}; expected among {MODELS}")
+    repeated = {m for m in models if models.count(m) > 1}
+    if repeated:
+        raise argparse.ArgumentTypeError(f"repeated models {sorted(repeated)}; give each model once")
     return models
 
 

@@ -46,10 +46,6 @@ class ExceptionalConfiguration:
             raise ValueError(f"anchor {self.anchor} not in {self.vertices}")
 
     @property
-    def order(self) -> int:
-        return len(self.vertices)
-
-    @property
     def added(self) -> tuple[int, ...]:
         """The vertices other than the anchor, ascending: what an attack marks."""
         return tuple(v for v in self.vertices if v != self.anchor)

@@ -75,6 +75,9 @@ class ExperimentConfig:
             raise ValueError(f"t_pen must be at least 1, got {self.t_pen}")
         if not self.models:
             raise ValueError(f"models must name at least one of {MODELS}")
+        for name, values in (("models", self.models), ("graph orders", self.n_grid)):
+            if len(set(values)) != len(values):  # each would be drawn and written twice
+                raise ValueError(f"{name} must not repeat, got {values}")
         if self.workers < 1:
             raise ValueError("workers must be positive")
         if not 0 <= self.root_seed < 2**64:

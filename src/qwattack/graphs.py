@@ -44,18 +44,16 @@ def _edge_pairs(edges) -> np.ndarray:
         return pairs
 
 
-def _first_bad_edge(n: int, pairs: np.ndarray) -> Optional[tuple[int, str]]:
+def _first_bad_edge(n: int, pairs: np.ndarray) -> tuple[int, str]:
     """(position, message) of the first edge, in input order, that is out of range,
-    a self-loop, or a repeat of an earlier edge in either orientation. Graph runs it
-    only once its own check has failed, to word the error."""
+    a self-loop, or a repeat of an earlier edge in either orientation. Graph and
+    read_edge_list run it only once Graph's own check has failed, to word the error."""
     u, v = pairs.T
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     keys = lo * n + hi  # an out-of-range key may collide, but that edge is reported first
     order = np.argsort(keys, kind="stable")
     bad = (lo < 0) | (hi >= n) | (u == v)
     bad[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True  # every later copy
-    if not bad.any():
-        return None
     i = int(np.argmax(bad))
     a, b = int(u[i]), int(v[i])
     if not (0 <= a < n and 0 <= b < n):

@@ -1,16 +1,18 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is built directly from definitions (dense matrices, subset
-enumeration, union-find) and deliberately avoids the package's sparse code
-paths so the two sides stay independent.
+Everything here but the last section is built directly from definitions
+(dense matrices, subset enumeration, union-find) and deliberately avoids the
+package's sparse code paths so the two sides stay independent. The last
+section draws test inputs through the package's generators.
 """
 
 import itertools
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from qwattack.exceptional import ECKind, ExceptionalConfiguration
-from qwattack.graphs import Graph
+from qwattack.graphs import Graph, ModelParams, generate_graph, is_connected
 
 
 # ---------------------------------------------------------------- dense walk
@@ -364,6 +366,18 @@ def find_3ec_reference(graph: Graph, v: int) -> list[ExceptionalConfiguration]:
     return found
 
 
+def order2_indicator(graph: Graph) -> np.ndarray:
+    """Whether each vertex lies in an order-2 configuration, for every vertex at once.
+
+    An edge {v, w} is bipartite with parts {v} and {w}, so it is exceptional
+    exactly when deg v = deg w. One mask over the arcs, degrees[first] ==
+    degrees[second], counted by row with bincount, answers every vertex.
+    """
+    first = np.repeat(np.arange(graph.n), graph.degrees)
+    same = graph.degrees[first] == graph.degrees[graph.indices]
+    return np.bincount(first, weights=same, minlength=graph.n) > 0
+
+
 def brute_force_ecs(graph: Graph, v: int) -> set:
     """All exceptional 2- and 3-subsets containing v, found by enumeration.
 
@@ -458,3 +472,18 @@ def star(leaves: int) -> Graph:
 
 def path(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+# ------------------------------------------------------------- model draws
+
+def connected_draws(params: ModelParams, n: int, seeds: Iterable[int]) -> Iterator[tuple[int, Graph]]:
+    """(seed, graph) for each seed, in order, whose generate_graph(params, n, seed=seed) is connected.
+
+    Not an oracle: this section builds test inputs from the package's own
+    generators and connectivity check. Raises RuntimeError once the seeds run out.
+    """
+    for seed in seeds:
+        graph = generate_graph(params, n, seed=seed)
+        if is_connected(graph):
+            yield seed, graph
+    raise RuntimeError(f"no connected {params.model} draw of order {n} among the seeds given")

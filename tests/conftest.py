@@ -1,14 +1,15 @@
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
-from qwattack.graphs import ModelParams, generate_graph, is_connected
+from qwattack.graphs import ModelParams
 
 
 def small_graph_corpus():
     """Named small graphs plus connected model samples with n <= 8."""
-    from _oracles import complete, cycle, path, star
+    from _oracles import complete, connected_draws, cycle, path, star
 
     graphs = {
         "K2": complete(2),
@@ -21,16 +22,9 @@ def small_graph_corpus():
         "P5": path(5),
     }
     for model in ("er", "ws", "ba"):
-        params = ModelParams(model=model)
         for n in (5, 6, 7, 8):
-            found = 0
-            for seed in range(40):
-                g = generate_graph(params, n, seed=seed)
-                if is_connected(g):
-                    graphs[f"{model}{n}/{seed}"] = g
-                    found += 1
-                    if found == 2:
-                        break
+            for seed, g in islice(connected_draws(ModelParams(model=model), n, range(40)), 2):
+                graphs[f"{model}{n}/{seed}"] = g
     return graphs
 
 

@@ -17,6 +17,7 @@ from _oracles import (
     brute_force_ecs,
     brute_force_optimum,
     complete,
+    connected_draws,
     cycle,
     dense_search_step,
     dense_trace,
@@ -25,7 +26,7 @@ from _oracles import (
     plus_one_eigenspace,
     star,
 )
-from qwattack.attack import default_t_pen, optimize_measurement_time, probability_at
+from qwattack.attack import default_t_pen, optimize_measurement_time
 from qwattack.exceptional import find_2ec, find_3ec
 from qwattack.experiments import (
     ExperimentConfig,
@@ -45,12 +46,8 @@ WORKERS = 4
 
 
 def connected_model_sample(model, n, *parts):
-    params = ModelParams(model=model)
-    for attempt in range(200):
-        g = generate_graph(params, n, seed=derive_seed(*parts, attempt))
-        if is_connected(g):
-            return g
-    raise RuntimeError(f"no connected {model} sample at n={n}")
+    seeds = (derive_seed(*parts, attempt) for attempt in range(200))
+    return next(connected_draws(ModelParams(model=model), n, seeds))[1]
 
 
 def test_c01_initial_measurement_law():
@@ -284,7 +281,7 @@ def test_c09_supplement_exponent_growth_full_range():
                     if ec is not None:
                         break
                 opt = optimize_measurement_time(g, [ec.anchor], t_pen=t_pen)
-                p_att = probability_at(g, ec.vertices, opt.t_opt)
+                p_att = probability_trace(g, ec.vertices, opt.t_opt)[-1]
                 base_log.append(math.log(opt.T_opt))
                 if p_att > 0:
                     att_log.append(math.log((opt.t_opt + t_pen) / p_att))

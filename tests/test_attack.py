@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import brute_force_optimum, complete, cycle
+from _oracles import brute_force_optimum, complete, connected_draws, cycle
 from qwattack import attack, experiments, szegedy
 from qwattack.attack import (
     AttackReport,
@@ -13,20 +13,14 @@ from qwattack.attack import (
     evaluate_attack,
     expected_runtime,
     optimize_measurement_time,
-    probability_at,
 )
 from qwattack.exceptional import ECKind, find_2ec, find_3ec
-from qwattack.graphs import Graph, ModelParams, generate_graph, is_connected
+from qwattack.graphs import Graph, ModelParams
 from qwattack.szegedy import probability_trace
 
 
 def connected_sample(model, n, start_seed=0):
-    params = ModelParams(model=model)
-    for seed in range(start_seed, start_seed + 200):
-        g = generate_graph(params, n, seed=seed)
-        if is_connected(g):
-            return g
-    raise RuntimeError("no connected sample")
+    return next(connected_draws(ModelParams(model=model), n, range(start_seed, start_seed + 200)))[1]
 
 
 class TestExpectedRuntime:
@@ -112,6 +106,10 @@ class TestOptimizer:
         with pytest.raises(ValueError):
             optimize_measurement_time(cycle(4), [0], t_pen=-1)
 
+    def test_empty_marked_set_rejected(self):
+        with pytest.raises(ValueError, match="initial success probability is zero; marked set must be nonempty"):
+            optimize_measurement_time(cycle(4), [], 1)
+
     def test_ties_resolve_to_the_smallest_t(self):
         # T(0) = (0 + 1) / 0.25 and T(1) = (1 + 1) / 0.5 are both 4; T(2) = 30, and t = 3 stops
         assert attack._scan(iter([0.25, 0.5, 0.1]), t_pen=1) == (0, 4.0, 0.25)
@@ -159,15 +157,15 @@ class TestEvaluateAttack:
         ec = next(ec for ec in find_3ec(graph, anchor) if ec.kind is kind)
         report = evaluate_attack(graph, ec, 2)
         assert (report.kind, report.anchor, report.added) == (kind.value, anchor, added)
-        assert report.p_base == pytest.approx(probability_at(graph, [anchor], report.t_base), abs=1e-14)
+        assert report.p_base == pytest.approx(probability_trace(graph, [anchor], report.t_base)[-1], abs=1e-14)
 
-    def test_probability_at_common_time(self):
+    def test_attacked_probability_read_at_t_base(self):
         g = connected_sample("ws", 60, 2)
         anchor = next(v for v in range(g.n) if find_2ec(g, v))
         ec = find_2ec(g, anchor)[0]
         report = evaluate_attack(g, ec, 4)
         attacked_marked = sorted({anchor} | set(ec.vertices))
-        assert report.p_attacked == probability_at(g, attacked_marked, report.t_base)
+        assert report.p_attacked == probability_trace(g, attacked_marked, report.t_base)[-1]
 
     @pytest.mark.parametrize("graph,kind,kept", [
         # the attacked scan reads past t_base, so p(t_base) is one it kept
@@ -177,7 +175,7 @@ class TestEvaluateAttack:
     ], ids=["kept", "stepped-on"])
     def test_walks_the_attacked_set_once(self, monkeypatch, graph, kind, kept):
         # the benchmark's attack.optimize and szegedy.build spans wrap these module globals;
-        # szegedy's own WalkOperator is the one probability_trace, and so probability_at, builds
+        # szegedy's own WalkOperator is the one probability_trace builds
         ec = next(ec for ec in find_3ec(graph, 0) if ec.kind is kind)
         expected = evaluate_attack(graph, ec, 2)
         calls, reads = [], []
@@ -204,7 +202,7 @@ class TestEvaluateAttack:
         assert report == expected
         assert sorted(calls) == ["WalkOperator"] * 2 + ["optimize_measurement_time"]
         assert len(reads) == 2 and (reads[1] > report.t_base) is kept
-        assert report.p_attacked == probability_at(graph, ec.vertices, report.t_base)
+        assert report.p_attacked == probability_trace(graph, ec.vertices, report.t_base)[-1]
 
     @pytest.mark.parametrize("model,n,root_seed", [("er", 150, 3), ("ws", 60, 11), ("ba", 400, 3)])
     def test_steps_walked_follow_from_the_row(self, monkeypatch, model, n, root_seed):
@@ -245,25 +243,6 @@ class TestEvaluateAttack:
             report = evaluate_attack(g, ec, default_t_pen(g.n))
             effs.append(report.eff)
         assert np.median(effs) > 0.5
-
-
-class TestProbabilityAt:
-    def test_matches_trace(self):
-        g = connected_sample("ba", 50)
-        trace = probability_trace(g, [3, 7], 12)
-        assert [probability_at(g, [3, 7], t) for t in (0, 5, 12)] == [trace[0], trace[5], trace[12]]
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            probability_at(cycle(4), [0], -3)
-
-    def test_empty_marked_set_rejected(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            probability_at(cycle(4), [], 2)
-
-    def test_out_of_range_vertex_rejected(self):
-        with pytest.raises(ValueError, match=r"marked set \[9\] out of range for n=6"):
-            probability_at(cycle(6), [9], 3)
 
 
 class TestReportValidation:

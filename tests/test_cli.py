@@ -53,7 +53,7 @@ class TestGenerate:
         assert code == 0
         assert "seed:" in err
 
-    def test_missing_required_option(self, tmp_path, capsys):
+    def test_missing_required_option(self, capsys):
         code, _, err = run_cli(["generate", "--model", "er", "--n", "30"], capsys)
         assert code == 1
         assert "missing required option --out" in err
@@ -223,6 +223,17 @@ class TestUsage:
             assert not out.exists()
 
     @pytest.mark.parametrize("argv", SEEDED_COMMANDS, ids=lambda argv: argv[0])
+    def test_non_integer_seed_is_a_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=abc\n")
+        for given in (["--seed", "abc"], ["--config", str(cfg)]):
+            code, _, err = run_cli([*argv, *given, "--out", str(out)], capsys)
+            assert code == 2
+            assert "argument --seed: invalid int value: 'abc'" in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("argv", SEEDED_COMMANDS, ids=lambda argv: argv[0])
     def test_seed_beyond_64_bits_is_a_usage_error(self, tmp_path, capsys, argv):
         # derive_seed masks to 64 bits, so 2**64 would draw seed 0's rows under another seed
         out = tmp_path / "x.out"
@@ -301,6 +312,12 @@ class TestConfigFile:
              "argument --model: unknown models ['zz']; expected among ('er', 'ws', 'ba')"),
             (["fig1", "--n", "20"], "model", "",
              "argument --model: no models given; expected among ('er', 'ws', 'ba')"),
+            (["fig1", "--n", "40"], "model", "er,er",
+             "argument --model: repeated models ['er']; give each model once"),
+            (["fig2", "--n", "40"], "model", "ws,er,ws",
+             "argument --model: repeated models ['ws']; give each model once"),
+            (["fig3", "--in", "fig2.csv"], "model", "er,er",
+             "argument --model: repeated models ['er']; give each model once"),
             (["scan-ec", "--in", "g.edges", "--vertex", "3"], "orders", "2,x",
              "argument --orders: expected a comma list of integers, got '2,x'"),
             (["scan-ec", "--in", "g.edges", "--vertex", "3"], "orders", "4",
@@ -310,7 +327,8 @@ class TestConfigFile:
             (["fig1"], "n-grid", "a:b:c",
              "argument --n-grid: grid spec must be start:stop:step of integers, got 'a:b:c'"),
         ],
-        ids=["generate-n", "generate-model", "scan-ec-distance", "fig2-model", "fig1-empty-model", "scan-ec-orders",
+        ids=["generate-n", "generate-model", "scan-ec-distance", "fig2-model", "fig1-empty-model",
+             "fig1-repeated-model", "fig2-repeated-model", "fig3-repeated-model", "scan-ec-orders",
              "scan-ec-orders-range", "attack-orders-range", "fig1-n-grid"],
     )
     def test_bad_config_value_is_a_usage_error_like_the_flag(self, tmp_path, capsys, argv, key, value, message):

@@ -11,6 +11,7 @@ from _oracles import (
     cycle,
     exceptional_by_definition,
     find_3ec_reference,
+    order2_indicator,
     path_middle,
     star,
 )
@@ -45,6 +46,14 @@ class TestFind2EC:
         found = find_2ec(g, 2)
         partners = [sorted(set(ec.vertices) - {2})[0] for ec in found]
         assert partners == sorted(partners)
+
+    @pytest.mark.parametrize("model", ["er", "ws", "ba"])
+    def test_every_vertex_matches_the_all_vertex_indicator(self, model):
+        # one paper-scale draw per model; its order-2 share lies strictly between 0 and 1
+        g = generate_graph(ModelParams(model=model), 4000, seed=0)
+        expected = order2_indicator(g)
+        assert 0 < expected.mean() < 1
+        assert [bool(find_2ec(g, v)) for v in range(g.n)] == expected.tolist()
 
     @pytest.mark.slow
     def test_ws_formation_level_matches_regenerated_fig(self):
@@ -273,4 +282,3 @@ class TestConfigurationType:
         assert ExceptionalConfiguration((3, 5, 7), ECKind.EC3_PATH, 5).added == (3, 7)
         assert ExceptionalConfiguration((3, 5, 7), ECKind.EC3_PATH, 7).added == (3, 5)
         assert ExceptionalConfiguration((2, 9), ECKind.EC2_PATH, 2).added == (9,)
-        assert ExceptionalConfiguration((3, 5, 7), ECKind.EC3_PATH, 5).order == 3

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from _oracles import star
 from qwattack import experiments
 from qwattack.attack import AttackReport
 from qwattack.exceptional import checked_orders, find_2ec, find_ec_within_distance
@@ -73,6 +74,9 @@ class TestConfig:
             ExperimentConfig(experiment="fig1", n_grid=(2,))
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="fig1", models=("er", "grid"))
+        for count in ("samples_per_n", "workers"):
+            with pytest.raises(ValueError, match=f"{count} must be positive"):
+                ExperimentConfig(experiment="fig1", **{count: 0})
         # derive_seed masks to 64 bits, so -1 would draw 2**64 - 1's rows and 2**64 seed 0's
         for root_seed in (-1, 2**64):
             with pytest.raises(ValueError, match=rf"root_seed must be in \[0, 2\*\*64\), got {root_seed}"):
@@ -82,6 +86,20 @@ class TestConfig:
     def test_empty_model_set_rejected(self):
         with pytest.raises(ValueError, match="at least one of"):
             ExperimentConfig(experiment="fig1", models=())
+
+    @pytest.mark.parametrize("kw,message", [
+        ({"models": ("er", "er")}, r"models must not repeat, got \('er', 'er'\)"),
+        ({"models": ("ws", "er", "ws")}, r"models must not repeat, got \('ws', 'er', 'ws'\)"),
+        ({"n_grid": (100, 100)}, r"graph orders must not repeat, got \(100, 100\)"),
+    ], ids=["model", "model-apart", "order"])
+    def test_repeats_rejected_before_any_draw(self, monkeypatch, kw, message):
+        # a repeat would draw its cells twice and write every row twice
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a graph was drawn before the repeat was rejected")
+
+        monkeypatch.setattr(experiments, "generate_graph", no_draw)
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(experiment="fig2", **kw)
 
     @pytest.mark.parametrize("t_pen", [0, -3])
     def test_penalty_below_one_rejected(self, t_pen):
@@ -124,6 +142,10 @@ class TestRegression:
     def test_too_few_points(self):
         with pytest.raises(ValueError, match="3 points"):
             fit_loglog([10, 20], [1.0, 2.0])
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="n and T sequences differ in length"):
+            fit_loglog([10, 20, 30], [1.0, 2.0])
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
@@ -251,6 +273,10 @@ class TestFormationScan:
                 expected.append(("order 3", graph, v, (None, [3])))
         assert [c[:4] for c in calls] == expected
 
+    def test_no_samples_rejected(self):
+        with pytest.raises(ValueError, match="samples must be positive, got 0"):
+            ec_formation_probability(ModelParams("er"), 40, samples=0)
+
     @pytest.mark.parametrize("orders,d,message", [
         ((2, 3), 5, "hop distance must be 1, 2, or None, got 5"),
         ((), None, r"orders must be a nonempty subset of \{2, 3\}, got \[\]"),
@@ -279,6 +305,10 @@ class TestPick2ec:
         ec, retries = experiments._pick_2ec(graph, seed)
         assert retries == first_hit
         assert ec.anchor == anchors[first_hit] and ec.vertices == (0, 1)
+
+    def test_no_anchor_has_a_2ec(self):
+        # a star's centre has degree 4 and each leaf 1, so no adjacent pair has equal degrees
+        assert experiments._pick_2ec(star(4), 3) == (None, 5)
 
 
 class TestFig2:
@@ -312,6 +342,19 @@ class TestFig2:
         write_fig2_csv(reports, out)
         back = read_fig2_csv(out)
         assert back == list(reports)
+
+    def test_no_connected_draw_raises(self):
+        config = self.small_config(models=("er",), n_grid=(4,), samples_per_n=1, er_p=0.0)
+        with pytest.raises(RuntimeError, match="no connected er graph of order 4 after 1000 attempts"):
+            run_fig2(config)
+
+    @pytest.mark.parametrize("seed,message", [
+        (0, "recorded seed does not yield a connected graph"),
+        (2, "recorded seed does not yield a 2EC anchor"),  # a 3-leaf star
+    ], ids=["disconnected", "no-2ec"])
+    def test_rederive_rejects_a_seed_with_no_row(self, seed, message):
+        with pytest.raises(ValueError, match=message):
+            rederive_fig2_sample(ModelParams("er", er_p=0.5), 4, seed, 1)
 
     def test_csv_bytes_are_stable(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -380,8 +423,11 @@ class TestReadFig2Csv:
         ("added_vertices", "0", r"duplicate vertices in \(0, 0\)"),
         ("graph_regens", "-2", "graph_regens must be non-negative, got -2"),
         ("added_vertices", "1;", "invalid literal for int"),
+        ("p_base", "0", r"p_base must be in \(0, 1\], got 0.0"),
+        ("p_base", "1.5", r"p_base must be in \(0, 1\], got 1.5"),
     ], ids=["p_base-nan", "p_attacked-negative", "T_base-negative", "T_base-contradicts",
-            "anchor-out-of-range", "added-is-anchor", "graph_regens-negative", "added-empty-field"])
+            "anchor-out-of-range", "added-is-anchor", "graph_regens-negative", "added-empty-field",
+            "p_base-zero", "p_base-above-one"])
     def test_out_of_range_value_rejected_with_line(self, tmp_path, column, value, message):
         fields = self.ROW.split(",")
         fields[self.COLUMNS.index(column)] = value

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _oracles import connected_draws
 from qwattack.cli import cli_main
 from qwattack.exceptional import find_2ec
 from qwattack.experiments import (
@@ -37,7 +38,6 @@ from qwattack.graphs import (
     ModelParams,
     derive_seed,
     generate_graph,
-    is_connected,
     write_edge_list,
 )
 from qwattack.szegedy import probability_trace
@@ -63,11 +63,8 @@ def trace_cases():
     """(model, n, graph seed, marked set): an anchor and its first 2EC per sample."""
     for model_index, model in enumerate(("er", "ws", "ba")):
         for n in TRACE_SIZES:
-            for attempt in range(200):
-                seed = derive_seed(0, model_index, n, attempt)
-                graph = generate_graph(ModelParams(model=model), n, seed=seed)
-                if is_connected(graph):
-                    break
+            seeds = (derive_seed(0, model_index, n, attempt) for attempt in range(200))
+            seed, graph = next(connected_draws(ModelParams(model=model), n, seeds))
             anchor, ec = next((v, ecs[0]) for v in range(n) if (ecs := find_2ec(graph, v)))
             yield model, n, seed, graph, [anchor]
             yield model, n, seed, graph, sorted(ec.vertices)

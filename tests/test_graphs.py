@@ -90,6 +90,14 @@ class TestGraph:
         g = Graph(4, [(3, 2), (1, 0)])
         assert list(g.edges()) == [(0, 1), (2, 3)]
 
+    def test_rejects_no_vertices(self):
+        with pytest.raises(ValueError, match="vertex count must be positive, got 0"):
+            Graph(0)
+
+    def test_equality_and_repr(self):
+        assert (Graph(2) == 5) is False
+        assert repr(Graph(3, [(0, 1)])) == "Graph(n=3, edges=1)"
+
 
 class TestErdosRenyi:
     def test_probability_one_gives_complete_graph(self):
@@ -624,6 +632,25 @@ class TestEdgeListIO:
         path = tmp_path / "bad.edges"
         path.write_text("0 1\n")
         with pytest.raises(EdgeListParseError, match="line 1"):
+            read_edge_list(path)
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "line 1: empty file, expected header 'n <count>'"),
+        ("n x\n", "line 1: vertex count 'x' is not an integer"),
+        ("n 0\n", "line 1: vertex count must be positive, got 0"),
+    ], ids=["empty", "count-not-integer", "count-zero"])
+    def test_bad_header_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.edges"
+        path.write_text(text)
+        with pytest.raises(EdgeListParseError, match=f"^{re.escape(message)}$"):
+            read_edge_list(path)
+
+    def test_blank_line_is_skipped(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text("n 4\n0 1\n\n2 3\n")
+        assert read_edge_list(path) == Graph(4, [(0, 1), (2, 3)])
+        path.write_text("n 4\n0 1\n\n2 2\n")  # the self-loop's line is counted past the blank one
+        with pytest.raises(EdgeListParseError, match="line 4: self-loop"):
             read_edge_list(path)
 
     def test_valid_file_is_checked_once(self, tmp_path, monkeypatch):

@@ -1,10 +1,13 @@
-"""Every name a module imports is used in it, and every definition is used somewhere.
+"""Every name a module imports is used in it, every definition is used somewhere,
+and every argument of a test is read by it.
 
 The checks walk each module's syntax tree: a name bound by an import must be
 read somewhere in the module, as a bare name or as the root of an attribute. A
 top-level function or class of the package or of tests/_oracles.py, and a method
 of the package's classes other than a dunder, must be read, as a bare name or as
-an attribute, by some file under src/, tests/ or benchmarks/.
+an attribute, by some file under src/, tests/ or benchmarks/. An argument of a
+test_* function under tests/, other than self, must be read in its body: a
+fixture it never reads is set up for nothing.
 """
 
 import ast
@@ -47,6 +50,17 @@ def names_read(source: str) -> set[str]:
             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
 
 
+def unread_arguments(source: str) -> list[tuple[int, str]]:
+    """(line, argument) of each argument of a test_* function, other than self, that its body never reads."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("test_"):
+            read = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            out += [(node.lineno, a.arg) for a in args if a.arg != "self" and a.arg not in read]
+    return sorted(out)
+
+
 def test_every_imported_name_is_used():
     unused = {str(p.relative_to(ROOT)): unused_imports(p.read_text()) for p in MODULES}
     assert {path: names for path, names in unused.items() if names} == {}
@@ -69,3 +83,15 @@ def test_the_check_flags_an_unused_definition():
               "def f(): return A().used()\ndef g(): pass\nf()\n")
     read = names_read(source)
     assert [(line, name) for line, name in definitions(source) if name not in read] == [(4, "idle"), (6, "g")]
+
+
+def test_every_test_argument_is_read():
+    unread = {str(p.relative_to(ROOT)): unread_arguments(p.read_text()) for p in (ROOT / "tests").glob("test_*.py")}
+    assert {path: names for path, names in unread.items() if names} == {}
+
+
+def test_the_check_flags_an_unread_argument():
+    source = ("class TestA:\n    def test_m(self, tmp_path, capsys):\n        capsys.readouterr()\n"
+              "def test_f(corpus, seed):\n    def inner():\n        return seed\n    return inner\n"
+              "def helper(unused):\n    pass\n")
+    assert unread_arguments(source) == [(2, "tmp_path"), (4, "corpus")]

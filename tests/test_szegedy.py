@@ -2,7 +2,7 @@ import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from itertools import islice
+from itertools import count, islice
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from _oracles import (
     arc_trace,
     complete,
+    connected_draws,
     cycle,
     dense_initial,
     dense_reflection,
@@ -129,7 +130,7 @@ class TestWalkAgainstDenseOracle:
 
     @pytest.mark.parametrize("model", ["er", "ws", "ba"])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_model_samples_n12(self, model, seed, corpus):
+    def test_model_samples_n12(self, model, seed):
         g = None
         for s in range(seed, seed + 30):
             cand = generate_graph(ModelParams(model=model), 12, seed=s)
@@ -162,10 +163,7 @@ class TestWalkAgainstDenseOracle:
     def test_matches_per_arc_oracle_100_steps(self, model, n):
         # the literal dict-state walk at sizes the dense oracle cannot reach,
         # marking one vertex and then a 2EC that suppresses the search
-        g = next(
-            c for a in range(50)
-            if is_connected(c := generate_graph(ModelParams(model=model), n, seed=derive_seed(11, n, a)))
-        )
+        _, g = next(connected_draws(ModelParams(model=model), n, (derive_seed(11, n, a) for a in range(50))))
         ec = next(ecs[0].vertices for w in range(n) if (ecs := find_2ec(g, w)))
         for marked in ([0], list(ec)):
             sparse = probability_trace(g, marked, 100)
@@ -207,10 +205,7 @@ class TestBitwiseStep:
     @pytest.mark.parametrize("model", ["er", "ws", "ba"])
     def test_200_steps_match_the_literal_reflections(self, model):
         n = 300
-        g = next(
-            c for a in range(50)
-            if is_connected(c := generate_graph(ModelParams(model=model), n, seed=derive_seed(13, n, a)))
-        )
+        _, g = next(connected_draws(ModelParams(model=model), n, (derive_seed(13, n, a) for a in range(50))))
         ec = next(ecs[0] for w in range(n) if (ecs := find_2ec(g, w)))
         first, second = np.repeat(np.arange(n), g.degrees), g.indices
         profile = np.sqrt(np.repeat(1.0 / g.degrees, g.degrees))
@@ -386,15 +381,8 @@ class TestProbabilityTrace:
     @pytest.mark.slow
     def test_er_search_amplifies(self):
         # max_t p(t) >= 10/n within t <= 4 sqrt(n) log n on ER(200)
-        from qwattack.graphs import default_er_p, gen_erdos_renyi, is_connected
-
         n = 200
-        seed = 0
-        while True:
-            g = gen_erdos_renyi(n, default_er_p(n), seed)
-            if is_connected(g):
-                break
-            seed += 1
+        _, g = next(connected_draws(ModelParams("er"), n, count()))
         t_max = math.ceil(4 * math.sqrt(n) * math.log(n))
         trace = probability_trace(g, [17], t_max)
         assert trace.max() >= 10 / n
@@ -402,9 +390,7 @@ class TestProbabilityTrace:
     def test_two_threads_step_one_operator(self):
         """The operator keeps no scratch state: two threads walking through one operator
         at once each give the single-thread trace, bit for bit."""
-        seed = 0
-        while not is_connected(g := generate_graph(ModelParams("er"), 200, seed)):
-            seed += 1
+        _, g = next(connected_draws(ModelParams("er"), 200, count()))
         expected = probability_trace(g, [0], 300)
         operator = WalkOperator(g, [0])
         barrier = threading.Barrier(2)
@@ -423,11 +409,11 @@ class TestProbabilityTrace:
         assert [trace.tobytes() == expected.tobytes() for trace in traces] == [True, True]
 
     def test_negative_t_max_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nonnegative"):
             probability_trace(cycle(4), [0], -1)
 
     def test_empty_marked_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nonempty"):
             probability_trace(cycle(4), [], 3)
 
 
@@ -478,11 +464,7 @@ class TestScaledStationaryWitness:
 
     @staticmethod
     def draw(model, n):
-        for attempt in range(50):
-            g = generate_graph(ModelParams(model=model), n, seed=derive_seed(7, n, attempt))
-            if is_connected(g):
-                return g
-        raise RuntimeError(f"no connected {model} draw of order {n}")
+        return next(connected_draws(ModelParams(model=model), n, (derive_seed(7, n, a) for a in range(50))))[1]
 
     @pytest.mark.parametrize("model", ["er", "ws", "ba"])
     @pytest.mark.parametrize("n", [800, 2400])
