@@ -245,6 +245,24 @@ class TestEvaluateAttack:
         assert np.median(effs) > 0.5
 
 
+class TestProbabilityAt:
+    """p(t) at one time is the last entry of the trace up to t, the read that
+    evaluate_attack's p_base and p_attacked are checked against; it keeps the
+    trace's input guards."""
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            probability_trace(cycle(4), [0], -3)[-1]
+
+    def test_empty_marked_set_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            probability_trace(cycle(4), [], 2)[-1]
+
+    def test_out_of_range_vertex_rejected(self):
+        with pytest.raises(ValueError, match=r"marked set \[9\] out of range for n=6"):
+            probability_trace(cycle(6), [9], 3)[-1]
+
+
 class TestReportValidation:
     def _base_kwargs(self):
         return dict(
