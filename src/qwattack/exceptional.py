@@ -51,14 +51,8 @@ class ExceptionalConfiguration:
         return tuple(v for v in self.vertices if v != self.anchor)
 
 
-def _check_vertex(graph: Graph, v: int) -> None:
-    if not 0 <= v < graph.n:
-        raise ValueError(f"vertex {v} out of range for n={graph.n}")
-
-
 def find_2ec(graph: Graph, v: int) -> list[ExceptionalConfiguration]:
     """All order-2 configurations at v: neighbors w with deg(w) = deg(v), ascending."""
-    _check_vertex(graph, v)
     dv = graph.degree(v)
     return [
         ExceptionalConfiguration(tuple(sorted((v, int(w)))), ECKind.EC2_PATH, v)
@@ -80,7 +74,6 @@ def find_3ec(graph: Graph, v: int) -> list[ExceptionalConfiguration]:
     path v-a-c when c lies outside v's closed neighborhood. The paths a-v-c
     are the neighbor pairs with matching degrees that are not triangles.
     """
-    _check_vertex(graph, v)
     degrees = graph.degrees
     nbrs = graph.neighbors(v)
     dv = graph.degree(v)

@@ -329,6 +329,7 @@ class RegressionResult:
 
 
 FIG3_COLUMNS = ("model", "variant", *(f.name for f in fields(RegressionResult)))
+_FIG3_VARIANTS = (("ref", "T_base"), ("attacked", "T_attacked"))  # (variant, the runtime it fits)
 
 
 def fit_loglog(ns: Sequence[float], ts: Sequence[float]) -> RegressionResult:
@@ -383,12 +384,14 @@ def regress_reports(reports: Sequence[AttackReport], models: Sequence[str]) -> l
 
     Returns two results per model: variant order (ref, attacked), fitting
     per-n geometric means of T_base and of T_attacked at the common time.
-    A fit that fails raises ValueError naming its model and variant.
+    Raises ValueError on a repeated model, or naming the model and variant of a failed fit.
     """
+    if len(set(models)) != len(models):  # each fit would be made and written twice
+        raise ValueError(f"models must not repeat, got {tuple(models)}")
     out = []
     for model in models:
         rows = [r for r in reports if r.model == model]
-        for variant, field in (("ref", "T_base"), ("attacked", "T_attacked")):
+        for variant, field in _FIG3_VARIANTS:
             label = f"{model} {variant}"
             means = _per_n_geometric_means(((r.n, getattr(r, field)) for r in rows), label)
             try:
@@ -401,7 +404,7 @@ def regress_reports(reports: Sequence[AttackReport], models: Sequence[str]) -> l
 def run_fig3(reports: Sequence[AttackReport], models: Sequence[str]) -> list[tuple[str, str, RegressionResult]]:
     """Complexity exponents of fig2 reports: regress_reports labeled [(model, variant, result)]."""
     results = iter(regress_reports(reports, models))
-    return [(model, variant, next(results)) for model in models for variant in ("ref", "attacked")]
+    return [(model, variant, next(results)) for model in models for variant, _ in _FIG3_VARIANTS]
 
 
 def csv_field(value) -> str:

@@ -64,19 +64,20 @@ def _first_bad_edge(n: int, pairs: np.ndarray) -> tuple[int, str]:
 class Graph:
     """Immutable simple undirected graph in CSR form.
 
-    Vertex v's neighbors are indices[indptr[v]:indptr[v + 1]], ascending;
-    indptr, indices and degrees are read-only int64 arrays. Construction
-    validates simplicity (no self-loops, no duplicate edges in either
-    orientation) and that every endpoint lies in [0, n), reporting the
-    first bad edge in input order. The check reads the one sort that builds
-    the rows: with every endpoint in range, a self-loop or a repeat in
-    either orientation puts some arc key u*n + v in the sorted keys twice.
-    The keys are int32 while n*n < 2**31 and int64 beyond; degrees count the
-    endpoints, and a row's neighbors are its keys minus u*n, so no division
-    runs.
+    Arc k runs from tails[k] to indices[k]; vertex v's arcs are k in
+    [indptr[v], indptr[v + 1]), its neighbors ascending. indptr, indices,
+    tails and degrees are read-only int64 arrays. Construction validates
+    simplicity (no self-loops, no duplicate edges in either orientation) and
+    that every endpoint lies in [0, n), reporting the first bad edge in input
+    order. The check reads the one sort that builds the rows: with every
+    endpoint in range, a self-loop or a repeat in either orientation puts
+    some arc key u*n + v in the sorted keys twice. The keys are int32 while
+    n*n < 2**31 and int64 beyond; degrees count the endpoints, the tails
+    repeat each vertex by its degree, and a head is its key minus tail*n, so
+    no division runs.
     """
 
-    __slots__ = ("_n", "indptr", "indices", "_degrees", "_starts")
+    __slots__ = ("n", "indptr", "indices", "tails", "degrees")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 1:
@@ -91,38 +92,31 @@ class Graph:
         arcs = np.sort(np.concatenate((u * n + v, v * n + u)))
         if np.any(arcs[1:] == arcs[:-1]):
             raise ValueError(_first_bad_edge(n, pairs)[1])
-        self._degrees = np.bincount(pairs.ravel(), minlength=n)
-        self.indptr = np.concatenate(([0], np.cumsum(self._degrees)))
-        row_keys = np.repeat(np.arange(0, n * n, n, dtype=arcs.dtype), self._degrees)
-        self.indices = (arcs - row_keys).astype(np.int64, copy=False)
-        for a in (self._degrees, self.indptr, self.indices):
+        self.n = n
+        self.degrees = np.bincount(pairs.ravel(), minlength=n)
+        self.indptr = np.concatenate(([0], np.cumsum(self.degrees)))
+        tails = np.repeat(np.arange(n, dtype=arcs.dtype), self.degrees)
+        self.indices = (arcs - tails * n).astype(np.int64, copy=False)
+        self.tails = tails.astype(np.int64, copy=False)
+        for a in (self.degrees, self.indptr, self.indices, self.tails):
             a.flags.writeable = False
-        self._starts = self.indptr.tolist()  # list indexing is cheaper than indptr's
-        self._n = n
-
-    @property
-    def n(self) -> int:
-        return self._n
 
     @property
     def num_edges(self) -> int:
         return self.indices.size // 2
 
-    @property
-    def degrees(self) -> np.ndarray:
-        """Read-only array of vertex degrees."""
-        return self._degrees
+    def neighbors(self, v: int) -> np.ndarray:
+        """Sorted read-only view of the neighbors of v; raises ValueError unless 0 <= v < n."""
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range for n={self.n}")
+        return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
     def degree(self, v: int) -> int:
-        return int(self._degrees[v])
-
-    def neighbors(self, v: int) -> np.ndarray:
-        """Sorted read-only view of the neighbors of v."""
-        return self.indices[self._starts[v] : self._starts[v + 1]]
+        return self.neighbors(v).size
 
     def concat_neighbors(self, vertices: np.ndarray) -> np.ndarray:
         """The neighbor rows of `vertices`, an int64 array, concatenated in order."""
-        lengths = self._degrees[vertices]
+        lengths = self.degrees[vertices]
         offsets = np.cumsum(lengths) - lengths
         return self.indices[np.arange(int(lengths.sum())) + np.repeat(self.indptr[vertices] - offsets, lengths)]
 
@@ -133,18 +127,17 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as (u, v) with u < v, in ascending order."""
-        firsts = np.repeat(np.arange(self._n), self._degrees)
-        upper = firsts < self.indices
-        return zip(firsts[upper].tolist(), self.indices[upper].tolist())
+        upper = self.tails < self.indices
+        return zip(self.tails[upper].tolist(), self.indices[upper].tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        same = self._n == other._n and np.array_equal(self.indptr, other.indptr)
+        same = self.n == other.n and np.array_equal(self.indptr, other.indptr)
         return same and np.array_equal(self.indices, other.indices)
 
     def __repr__(self) -> str:
-        return f"Graph(n={self._n}, edges={self.num_edges})"
+        return f"Graph(n={self.n}, edges={self.num_edges})"
 
 
 def _check_order(n: int) -> None:

@@ -43,11 +43,11 @@ def _probability(amps: np.ndarray, marked_arcs: np.ndarray) -> float:
 class WalkOperator:
     """The search walk of a graph's uniform chain with the marked set S: arcs, start and step.
 
-    Arc k runs from first[k] to second[k], the graph's read-only indices array.
-    Vertex v's arcs are k in the graph's [indptr[v], indptr[v + 1]), sorted by
-    (first, second). reflect is the bare reflection R1 or R2 = Swap R1 Swap
-    (each an involution), apply performs the search step R2 Q2 R1 Q1 on an arc
-    array, and probabilities walks it from start().
+    Arc k runs from first[k] to second[k], the graph's read-only tails and
+    indices. Vertex v's arcs are k in the graph's [indptr[v], indptr[v + 1]),
+    sorted by (first, second). reflect is the bare reflection R1 or R2 = Swap
+    R1 Swap (each an involution), apply performs the search step R2 Q2 R1 Q1
+    on an arc array, and probabilities walks it from start().
 
     R2 Q2 = Swap R1 Q1 Swap is applied without permuting the state: R2 reflects
     the arcs entering each vertex w about sqrt(1/deg w), and Q2 negates the arcs
@@ -66,8 +66,7 @@ class WalkOperator:
         if isolated.size:
             raise ValueError(f"vertex {isolated[0]} is isolated; the uniform chain is undefined")
         self.n = n = graph.n
-        self.first = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        self.first.flags.writeable = False
+        self.first = graph.tails
         self.second = graph.indices
         marked = [int(v) for v in marked]
         if not all(0 <= v < n for v in marked):

@@ -7,6 +7,7 @@ section draws test inputs through the package's generators.
 """
 
 import itertools
+import math
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -376,6 +377,24 @@ def order2_indicator(graph: Graph) -> np.ndarray:
     first = np.repeat(np.arange(graph.n), graph.degrees)
     same = graph.degrees[first] == graph.degrees[graph.indices]
     return np.bincount(first, weights=same, minlength=graph.n) > 0
+
+
+def er_order2_share(n: int, p: float) -> float:
+    """The expected share of G(n, p)'s vertices that lie in an order-2 configuration.
+
+    Treats the neighbours' degrees as independent of each other: a vertex of
+    degree k has an equal-degree neighbour with probability 1 - (1 - q_{k-1})^k,
+    where q_j = P(Bin(n-2, p) = j) is the chance that a neighbour has j edges
+    besides the shared one. The share is that averaged over K ~ Bin(n-1, p).
+    The pmfs are summed from lgamma and log1p in log space, which needs 0 < p < 1.
+    """
+    log_p, log_q = math.log(p), math.log1p(-p)
+
+    def binomial_pmf(m: int, j: int) -> float:
+        log_choose = math.lgamma(m + 1) - math.lgamma(j + 1) - math.lgamma(m - j + 1)
+        return math.exp(log_choose + j * log_p + (m - j) * log_q)
+
+    return sum(binomial_pmf(n - 1, k) * (1.0 - (1.0 - binomial_pmf(n - 2, k - 1)) ** k) for k in range(1, n))
 
 
 def brute_force_ecs(graph: Graph, v: int) -> set:

@@ -2,6 +2,7 @@ import concurrent.futures
 import logging
 import math
 import os
+import re
 
 import pytest
 
@@ -173,6 +174,11 @@ class TestRegression:
         reports = reports[:2] + [make_report("er", 800, 5, 50.0, math.inf)]
         with pytest.raises(ValueError, match=r"^er attacked: regression needs at least 3 points, got 2$"):
             regress_reports(reports, ["er"])
+
+    def test_regress_reports_rejects_a_repeated_model(self):
+        reports = [make_report("er", n, 5, 2.0 * n ** 0.5, 0.1 * n) for n in (100, 200, 400)]
+        with pytest.raises(ValueError, match=re.escape("models must not repeat, got ('er', 'er')")):
+            regress_reports(reports, ["er", "er"])
 
     def test_infinite_runtimes_dropped(self):
         reports = [make_report("er", n, 5, 2.0 * n ** 0.5, 0.1 * n) for n in (100, 200, 400, 800)]
@@ -534,6 +540,11 @@ class TestFig3:
         for model, variant, res in labeled:
             expected = 0.4 if variant == "ref" else 0.9
             assert res.alpha == pytest.approx(expected, abs=1e-12)
+
+    def test_repeated_model_rejected(self):
+        reports = [make_report("er", n, 4, 3.0 * n ** 0.4, 0.5 * n ** 0.9) for n in (100, 200, 400)]
+        with pytest.raises(ValueError, match="models must not repeat"):
+            run_fig3(reports, ("er", "er"))
 
     def test_dropped_runtimes_are_counted_per_model_and_variant(self, caplog):
         reports = [make_report("er", n, 4, 3.0 * n ** 0.4, 0.5 * n ** 0.9) for n in (100, 200, 400)]

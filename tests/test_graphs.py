@@ -13,7 +13,9 @@ from _oracles import (
     connected_by_bfs,
     connected_by_union_find,
     cycle,
+    er_order2_share,
     er_reference,
+    order2_indicator,
     path,
     reference_rows,
     star,
@@ -94,6 +96,13 @@ class TestGraph:
         with pytest.raises(ValueError, match="vertex count must be positive, got 0"):
             Graph(0)
 
+    def test_vertex_out_of_range_rejected(self):
+        g = path(4)  # a negative vertex must not wrap round to the last row
+        for v in (-2, -1, 4):
+            for ask in (g.neighbors, g.degree, lambda u: g.has_edge(u, 0)):
+                with pytest.raises(ValueError, match=re.escape(f"vertex {v} out of range for n=4")):
+                    ask(v)
+
     def test_equality_and_repr(self):
         assert (Graph(2) == 5) is False
         assert repr(Graph(3, [(0, 1)])) == "Graph(n=3, edges=1)"
@@ -129,6 +138,20 @@ class TestErdosRenyi:
             gen_erdos_renyi(1, 0.5, seed=0)
         with pytest.raises(ValueError):
             gen_erdos_renyi(10, 1.5, seed=0)
+
+    @pytest.mark.parametrize("n, draws", [(800, 30), (4000, 10)])
+    def test_order2_share_matches_the_independent_degree_law(self, n, draws):
+        """The mean order-2 share over seeded draws against er_order2_share, within 4 SE.
+
+        The law treats neighbour degrees as independent; measured z is 0.17 at
+        n = 800 and -0.04 at n = 4,000. A generator with p scaled by 1.05 reads
+        z = 2.3 and 3.7 here, so that mutant is left to the slow
+        test_mean_edge_count_matches_binomial.
+        """
+        p = default_er_p(n)
+        shares = [order2_indicator(gen_erdos_renyi(n, p, derive_seed(15, n, g))).mean() for g in range(draws)]
+        z = (np.mean(shares) - er_order2_share(n, p)) / (np.std(shares, ddof=1) / math.sqrt(draws))
+        assert abs(z) <= 4, z
 
     @pytest.mark.slow
     def test_mean_edge_count_matches_binomial(self):
@@ -464,11 +487,12 @@ class TestCsrAgainstReference:
         assert [g.neighbors(v).tolist() for v in range(n)] == rows
         assert g.degrees.tolist() == [len(r) for r in rows]
         assert g.indptr.tolist() == np.cumsum([0] + [len(r) for r in rows]).tolist()
+        assert g.tails.tolist() == [v for v in range(n) for _ in rows[v]]
         some = np.array([v for v in range(n) for _ in range(v % 3)][::-1], dtype=np.int64)  # repeats, any order
         assert g.concat_neighbors(some).tolist() == [w for v in some for w in rows[v]]
         assert list(g.edges()) == sorted((min(e), max(e)) for e in edges)
         assert g.num_edges == len(edges)
-        for a in (g.indptr, g.indices, g.degrees, g.neighbors(0)):
+        for a in (g.indptr, g.indices, g.tails, g.degrees, g.neighbors(0)):
             assert not a.flags.writeable
         assert Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2)) == g
 
@@ -516,7 +540,7 @@ class TestCsrAgainstReference:
         rows = reference_rows(n, edges)
         assert [g.neighbors(v).tolist() for v in range(n)] == rows
         assert g.degrees.tolist() == [len(r) for r in rows]
-        for a in (g.indptr, g.indices, g.degrees):  # int32 would be converted in every walk step
+        for a in (g.indptr, g.indices, g.tails, g.degrees):  # int32 would be converted in every walk step
             assert a.dtype == np.int64 and not a.flags.writeable
         u, v = edges[rng.randrange(len(edges))]
         edges.insert(rng.randrange(len(edges) + 1), (v, u))

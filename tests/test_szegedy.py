@@ -74,7 +74,7 @@ class TestStochasticMatrix:
     def test_chain_shares_the_graph_arrays_read_only(self):
         g = star(4)
         op = WalkOperator(g)
-        assert op.n == g.n and op.second is g.indices
+        assert op.n == g.n and op.first is g.tails and op.second is g.indices
         assert not op.first.flags.writeable and not op.second.flags.writeable
         # bit for bit the start built from the arc-length chain weights 1/deg(first)
         weights = np.repeat(1.0 / g.degrees, g.degrees)
